@@ -1,104 +1,57 @@
-// Ablation — key-tree storage: contiguous arena + epoch views vs the
-// pre-refactor pointer tree (per-node heap allocations behind an id map).
+// Ablation — key-tree storage: copy-on-write pages + epoch views.
 //
-// Two questions:
-//   1. Traversal cost. The view stores nodes in preorder, so users_under()
-//      is a contiguous range scan and keyset() a parent-index walk; the
-//      pointer tree chases heap pointers for both. Measured at
-//      n = 1024..65536 members.
-//   2. Reader throughput under a concurrent writer. Readers acquire the
+// Three questions:
+//   1. Publish cost. Every join publishes a view that shares all unchanged
+//      pages with the live tree, so a join should cost O(d log n) page
+//      copies, not a copy of all n nodes. Measured as join+publish time and
+//      the bytes one join newly allocates (the cloned pages, the view's
+//      page tables and the JoinRecord), at n = 2^10..KG_TREE_MAX.
+//   2. Traversal cost on a view: users_under(root) scans the slot pages in
+//      order and sorts; keyset(u) is an id-index probe plus a parent walk.
+//   3. Reader throughput under a concurrent writer. Readers acquire the
 //      current immutable view (RCU shared_ptr swap) and never lock, so a
 //      churning writer should not dent read throughput beyond core
 //      contention. Measured with the writer idle vs. churning.
 //
-//   KG_TREE_MAX     largest member count (default 65536)
-//   KG_TRAVERSALS   measured traversals per representation (default 200)
+//   KG_TREE_MAX     largest member count (default 2^20)
+//   KG_TRAVERSALS   measured traversals per size (default 20)
 //   KG_READ_MS      per-phase reader window, milliseconds (default 300)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
-#include <optional>
+#include <cstdlib>
+#include <new>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
 #include "keygraph/key_tree.h"
 
+namespace {
+
+// Bytes requested from operator new since start-up. This binary replaces
+// the global allocation functions below so a join's allocations can be
+// counted without an allocator hook in the library.
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+
 namespace keygraphs {
 namespace {
 
-// The historical representation, rebuilt from a view: one heap node per
-// k-node, children owned through unique_ptr, lookups through an id map.
-struct PtrNode {
-  KeyId id = 0;
-  Bytes secret;
-  PtrNode* parent = nullptr;
-  std::vector<std::unique_ptr<PtrNode>> children;
-  std::optional<UserId> user;
-};
+constexpr std::size_t kPublishOps = 256;
 
-struct PointerTree {
-  std::unique_ptr<PtrNode> root;
-  std::unordered_map<KeyId, PtrNode*> by_id;
-  std::map<UserId, PtrNode*> leaves;
-
-  static PointerTree from_view(const TreeView& view) {
-    PointerTree tree;
-    const auto& nodes = view.nodes();
-    std::vector<PtrNode*> built(nodes.size());
-    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-      auto owned = std::make_unique<PtrNode>();
-      PtrNode* node = owned.get();
-      node->id = nodes[i].id;
-      const BytesView secret = view.secret_of(i);
-      node->secret.assign(secret.begin(), secret.end());
-      if (nodes[i].leaf) {
-        node->user = nodes[i].user;
-        tree.leaves.emplace(nodes[i].user, node);
-      }
-      built[i] = node;
-      tree.by_id.emplace(node->id, node);
-      if (nodes[i].parent == TreeView::kNilIndex) {
-        tree.root = std::move(owned);
-      } else {
-        PtrNode* parent = built[nodes[i].parent];
-        node->parent = parent;
-        parent->children.push_back(std::move(owned));
-      }
-    }
-    return tree;
-  }
-
-  [[nodiscard]] std::vector<UserId> users_under(KeyId id) const {
-    std::vector<UserId> out;
-    std::vector<const PtrNode*> stack{by_id.at(id)};
-    while (!stack.empty()) {
-      const PtrNode* node = stack.back();
-      stack.pop_back();
-      if (node->user) out.push_back(*node->user);
-      for (const auto& child : node->children) stack.push_back(child.get());
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// Mirrors KeyTree::keyset's real work: ids plus copied key material.
-  [[nodiscard]] std::vector<std::pair<KeyId, Bytes>> keyset(
-      UserId user) const {
-    std::vector<std::pair<KeyId, Bytes>> out;
-    for (const PtrNode* node = leaves.at(user); node != nullptr;
-         node = node->parent) {
-      out.emplace_back(node->id, node->secret);
-    }
-    return out;
-  }
-};
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
+double us_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - start)
       .count();
 }
@@ -114,25 +67,46 @@ void grow_to(KeyTree& tree, UserId first, UserId last) {
   }
 }
 
-void emit(const char* json) {
-  const char* path = std::getenv("KG_BENCH_JSON");
-  if (path == nullptr || *path == '\0') {
-    std::printf("%s\n", json);
-    return;
+/// kPublishOps rounds of (join a fresh user, leave the oldest member) at a
+/// steady size n; only the joins are timed and counted.
+void publish_point(KeyTree& tree, std::size_t n) {
+  std::vector<double> join_us;
+  std::uint64_t bytes = 0;
+  UserId next = static_cast<UserId>(n) + 1;
+  UserId oldest = 1;
+  for (std::size_t i = 0; i < kPublishOps; ++i) {
+    const UserId u = next++;
+    Bytes key(16, static_cast<std::uint8_t>(u));
+    const std::uint64_t allocated_before =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    (void)tree.join(u, std::move(key));
+    join_us.push_back(us_since(start));
+    bytes += g_allocated_bytes.load(std::memory_order_relaxed) -
+             allocated_before;
+    tree.leave(oldest++);
   }
-  if (std::FILE* file = std::fopen(path, "a")) {
-    std::fprintf(file, "%s\n", json);
-    std::fclose(file);
-  }
+  std::sort(join_us.begin(), join_us.end());
+  double mean = 0.0;
+  for (double us : join_us) mean += us;
+  mean /= static_cast<double>(join_us.size());
+
+  char json[320];
+  std::snprintf(json, sizeof(json),
+                "{\"bench\":\"tree_storage\",\"mode\":\"publish\",\"n\":%zu,"
+                "\"ops\":%zu,\"join_publish_us_p50\":%.2f,"
+                "\"join_publish_us_mean\":%.2f,"
+                "\"alloc_bytes_per_publish\":%.0f}",
+                n, kPublishOps, join_us[join_us.size() / 2], mean,
+                static_cast<double>(bytes) / static_cast<double>(kPublishOps));
+  bench::emit_json_line(json);
 }
 
-void traversal_point(std::size_t n, std::size_t traversals) {
-  crypto::SecureRandom rng(7001);
-  KeyTree tree(4, 16, rng);
-  grow_to(tree, 1, n);
+void traversal_point(const KeyTree& tree, std::size_t n,
+                     std::size_t traversals) {
   const TreeViewPtr view = tree.view();
-  const PointerTree pointer = PointerTree::from_view(*view);
   const KeyId root = view->root_id();
+  const std::vector<UserId> members = view->users();
 
   // users_under(root): full-membership resolution, the dispatch-path read.
   std::size_t sink = 0;
@@ -140,43 +114,27 @@ void traversal_point(std::size_t n, std::size_t traversals) {
   for (std::size_t i = 0; i < traversals; ++i) {
     sink += view->users_under(root).size();
   }
-  const double view_scan_ms = ms_since(start);
-  start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < traversals; ++i) {
-    sink += pointer.users_under(root).size();
-  }
-  const double pointer_scan_ms = ms_since(start);
+  const double scan_us = us_since(start) / static_cast<double>(traversals);
 
   // keyset(u): the per-user path walk (resync/welcome planning).
-  const std::size_t probes = std::min<std::size_t>(n, 512);
+  const std::size_t probes = std::min<std::size_t>(members.size(), 512);
   start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < traversals; ++i) {
-    for (std::size_t p = 1; p <= probes; ++p) {
-      sink += view->keyset(static_cast<UserId>(p * (n / probes))).size();
+    for (std::size_t p = 0; p < probes; ++p) {
+      sink += view->keyset(members[p * members.size() / probes]).size();
     }
   }
-  const double view_keyset_ms = ms_since(start);
-  start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < traversals; ++i) {
-    for (std::size_t p = 1; p <= probes; ++p) {
-      sink += pointer.keyset(static_cast<UserId>(p * (n / probes))).size();
-    }
-  }
-  const double pointer_keyset_ms = ms_since(start);
+  const double keyset_us =
+      us_since(start) / static_cast<double>(traversals * probes);
   const volatile std::size_t keep = sink;
   (void)keep;
 
-  char json[512];
-  std::snprintf(
-      json, sizeof(json),
-      "{\"bench\":\"tree_storage\",\"mode\":\"traversal\",\"n\":%zu,"
-      "\"users_under_arena_ms\":%.3f,\"users_under_pointer_ms\":%.3f,"
-      "\"keyset_arena_ms\":%.3f,\"keyset_pointer_ms\":%.3f,"
-      "\"users_under_speedup\":%.2f,\"keyset_speedup\":%.2f}",
-      n, view_scan_ms, pointer_scan_ms, view_keyset_ms, pointer_keyset_ms,
-      view_scan_ms > 0 ? pointer_scan_ms / view_scan_ms : 0.0,
-      view_keyset_ms > 0 ? pointer_keyset_ms / view_keyset_ms : 0.0);
-  emit(json);
+  char json[256];
+  std::snprintf(json, sizeof(json),
+                "{\"bench\":\"tree_storage\",\"mode\":\"traversal\",\"n\":%zu,"
+                "\"users_under_root_us\":%.1f,\"keyset_us\":%.3f}",
+                n, scan_us, keyset_us);
+  bench::emit_json_line(json);
 }
 
 /// Reads completed in `window_ms`, with an optional concurrent writer
@@ -203,7 +161,7 @@ void reader_throughput_point(std::size_t n, double window_ms) {
     std::uint64_t reads = 0;
     std::size_t sink = 0;
     const auto start = std::chrono::steady_clock::now();
-    while (ms_since(start) < window_ms) {
+    while (us_since(start) < window_ms * 1000.0) {
       const TreeViewPtr view = tree.view();
       sink += view->users_under(root).size();
       ++reads;
@@ -227,7 +185,7 @@ void reader_throughput_point(std::size_t n, double window_ms) {
                 quiet > 0 ? 100.0 * static_cast<double>(contended) /
                                 static_cast<double>(quiet)
                           : 0.0);
-  emit(json);
+  bench::emit_json_line(json);
 }
 
 }  // namespace
@@ -235,13 +193,18 @@ void reader_throughput_point(std::size_t n, double window_ms) {
 
 int main() {
   using namespace keygraphs;
-  const std::size_t max_n = bench::env_size("KG_TREE_MAX", 65536);
-  const std::size_t traversals = bench::env_size("KG_TRAVERSALS", 200);
+  const std::size_t max_n = bench::env_size("KG_TREE_MAX", 1u << 20);
+  const std::size_t traversals =
+      std::max<std::size_t>(1, bench::env_size("KG_TRAVERSALS", 20));
   const double window_ms =
       static_cast<double>(bench::env_size("KG_READ_MS", 300));
   bench::emit_header_json("ablation_tree_storage");
   for (std::size_t n = 1024; n <= max_n; n *= 4) {
-    traversal_point(n, traversals);
+    crypto::SecureRandom rng(7001);
+    KeyTree tree(4, 16, rng);
+    grow_to(tree, 1, n);
+    traversal_point(tree, n, traversals);
+    publish_point(tree, n);
   }
   reader_throughput_point(4096, window_ms);
   return 0;

@@ -166,7 +166,9 @@ void aesni_cbc_encrypt_streams(const AesNiCbcStream* streams, std::size_t n) {
         // multiples). Composed in a stack temp, never in the output.
         alignas(16) std::uint8_t padded[kBlock];
         const std::size_t tail = streams[s].plaintext_size - whole[s] * kBlock;
-        std::memcpy(padded, streams[s].plaintext + whole[s] * kBlock, tail);
+        if (tail > 0) {  // an empty plaintext may come with a null pointer
+          std::memcpy(padded, streams[s].plaintext + whole[s] * kBlock, tail);
+        }
         std::memset(padded + tail, static_cast<int>(kBlock - tail),
                     kBlock - tail);
         input = _mm_load_si128(reinterpret_cast<const __m128i*>(padded));

@@ -12,56 +12,72 @@ namespace keygraphs {
 
 KeyTree::KeyTree(int degree, std::size_t key_size, crypto::SecureRandom& rng,
                  KeyId first_id)
-    : degree_(degree), key_size_(key_size), rng_(rng), next_id_(first_id) {
+    : rng_(rng) {
   if (degree < 2) throw ProtocolError("KeyTree: degree must be >= 2");
   if (key_size == 0) throw ProtocolError("KeyTree: key size must be > 0");
   if (first_id == 0 || (first_id & (KeyId{1} << 63)) != 0) {
     throw ProtocolError("KeyTree: first_id collides with reserved id space");
   }
-  root_index_ = make_node();
-  refresh_key(at(root_index_));
-  root_ = at(root_index_).id;
+  store_.degree = degree;
+  store_.key_size = key_size;
+  store_.next_id = first_id;
+  store_.root = make_node();
+  refresh_key(store_.root);
   publish(0);
 }
 
-KeyTree::~KeyTree() {
-  for (Node& node : arena_) secure_wipe(node.secret);
-}
+KeyTree::~KeyTree() = default;  // pages wipe their key material
 
 KeyTree::NodeIndex KeyTree::make_node(std::optional<KeyId> fixed_id) {
   NodeIndex index;
-  if (free_head_ != kNil) {
-    index = free_head_;
-    free_head_ = at(index).next_free;
+  if (store_.free_head != kNil) {
+    index = store_.free_head;
+    store_.free_head = at(index).next_sibling;
   } else {
-    index = static_cast<NodeIndex>(arena_.size());
-    arena_.emplace_back();
+    if (store_.slot_count == store_.slots.capacity()) {
+      store_.slots.add_page(store_.key_size, edit_);
+    }
+    index = store_.slot_count++;
   }
-  Node& node = at(index);
-  node = Node{};  // recycled slots carry stale free-list linkage
-  node.id = fixed_id.value_or(next_id_++);
-  node.in_use = true;
-  by_id_.emplace(node.id, index);
-  ++live_nodes_;
+  // value_or evaluates its argument, so fixed-id nodes advance the counter
+  // too. Ids are on the wire: keep it that way.
+  const KeyId id = fixed_id.value_or(store_.next_id++);
+  store_.index_insert(id, index, edit_);
+  Slot& node = mut(index);
+  node = Slot{};
+  node.id = id;
+  node.live = true;
+  ++store_.live;
   return index;
 }
 
-void KeyTree::destroy_node(NodeIndex index) {
-  Node& node = at(index);
-  by_id_.erase(node.id);
-  secure_wipe(node.secret);
-  node = Node{};
-  node.next_free = free_head_;
-  free_head_ = index;
-  --live_nodes_;
+KeyTree::NodeIndex KeyTree::make_leaf(UserId user, BytesView secret) {
+  const NodeIndex leaf = make_node(individual_key_id(user));
+  Slot& node = mut(leaf);
+  node.leaf = true;
+  node.user = user;
+  node.version = 1;
+  node.user_count = 1;
+  std::memcpy(mut_secret(leaf), secret.data(), store_.key_size);
+  return leaf;
 }
 
-void KeyTree::refresh_key(Node& node) {
+void KeyTree::destroy_node(NodeIndex index) {
+  store_.index_erase(at(index).id, edit_);
+  secure_wipe(mut_secret(index), store_.key_size);
+  Slot& node = mut(index);
+  node = Slot{};
+  node.next_sibling = store_.free_head;
+  store_.free_head = index;
+  --store_.live;
+}
+
+void KeyTree::refresh_key(NodeIndex index) {
   // Attributes fresh key material to the keygen stage when an operation is
   // being collected (join/leave/batch); inert otherwise (e.g. restore).
   const telemetry::StageScope scope(telemetry::Stage::kKeygen);
-  node.secret = rng_.bytes(key_size_);
-  ++node.version;
+  rng_.fill(mut_secret(index), store_.key_size);
+  ++mut(index).version;
   if (telemetry::enabled()) {
     static auto& generated =
         telemetry::Registry::global().counter("keygraph.keys_generated");
@@ -71,25 +87,95 @@ void KeyTree::refresh_key(Node& node) {
 
 void KeyTree::bump_counts(NodeIndex from, std::ptrdiff_t delta) {
   for (NodeIndex i = from; i != kNil; i = at(i).parent) {
-    at(i).user_count = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(at(i).user_count) + delta);
+    Slot& node = mut(i);
+    node.user_count = static_cast<std::uint32_t>(
+        static_cast<std::ptrdiff_t>(node.user_count) + delta);
   }
+}
+
+void KeyTree::raise_heights(NodeIndex from) {
+  for (NodeIndex i = from, parent = at(i).parent; parent != kNil;
+       i = parent, parent = at(i).parent) {
+    const std::uint32_t height = at(i).height + 1;
+    if (at(parent).height >= height) return;  // ancestors are unaffected
+    mut(parent).height = height;
+  }
+}
+
+void KeyTree::recompute_heights(NodeIndex from) {
+  for (NodeIndex i = from; i != kNil; i = at(i).parent) {
+    std::uint32_t height = 0;
+    for (NodeIndex c = at(i).first_child; c != kNil; c = at(c).next_sibling) {
+      height = std::max(height, at(c).height + 1);
+    }
+    if (at(i).height == height) return;  // ancestors are unaffected
+    mut(i).height = height;
+  }
+}
+
+KeyTree::NodeIndex KeyTree::lightest_child(NodeIndex parent) const {
+  // The first child with the fewest users, like std::min_element.
+  NodeIndex best = at(parent).first_child;
+  for (NodeIndex c = at(best).next_sibling; c != kNil;
+       c = at(c).next_sibling) {
+    if (at(c).user_count < at(best).user_count) best = c;
+  }
+  return best;
+}
+
+void KeyTree::append_child(NodeIndex parent, NodeIndex child) {
+  const NodeIndex first = at(parent).first_child;
+  if (first == kNil) {
+    mut(parent).first_child = child;
+  } else {
+    NodeIndex tail = first;
+    while (at(tail).next_sibling != kNil) tail = at(tail).next_sibling;
+    mut(tail).next_sibling = child;
+  }
+  ++mut(parent).child_count;
+  Slot& node = mut(child);
+  node.parent = parent;
+  node.next_sibling = kNil;
+}
+
+void KeyTree::remove_child(NodeIndex parent, NodeIndex child) {
+  const NodeIndex next = at(child).next_sibling;
+  if (at(parent).first_child == child) {
+    mut(parent).first_child = next;
+  } else {
+    NodeIndex prev = at(parent).first_child;
+    while (at(prev).next_sibling != child) prev = at(prev).next_sibling;
+    mut(prev).next_sibling = next;
+  }
+  --mut(parent).child_count;
+}
+
+void KeyTree::replace_child(NodeIndex parent, NodeIndex old,
+                            NodeIndex replacement) {
+  const NodeIndex next = at(old).next_sibling;
+  if (at(parent).first_child == old) {
+    mut(parent).first_child = replacement;
+  } else {
+    NodeIndex prev = at(parent).first_child;
+    while (at(prev).next_sibling != old) prev = at(prev).next_sibling;
+    mut(prev).next_sibling = replacement;
+  }
+  Slot& node = mut(replacement);
+  node.parent = parent;
+  node.next_sibling = next;
 }
 
 KeyTree::NodeIndex KeyTree::find_join_parent() const {
   // Descend toward the lightest subtree; attach at the first node with
   // spare capacity. Returns an internal node with < degree children, or a
   // full node whose lightest child is a leaf (caller splits that leaf).
-  NodeIndex index = root_index_;
+  NodeIndex index = store_.root;
   for (;;) {
-    const Node& node = at(index);
-    if (static_cast<int>(node.children.size()) < degree_) return index;
-    const NodeIndex lightest = *std::min_element(
-        node.children.begin(), node.children.end(),
-        [this](NodeIndex a, NodeIndex b) {
-          return at(a).user_count < at(b).user_count;
-        });
-    if (at(lightest).is_leaf()) return index;  // full everywhere: split
+    if (static_cast<std::int64_t>(at(index).child_count) < store_.degree) {
+      return index;
+    }
+    const NodeIndex lightest = lightest_child(index);
+    if (at(lightest).leaf) return index;  // full everywhere: split
     index = lightest;
   }
 }
@@ -100,58 +186,65 @@ KeyTree::attach_leaf(NodeIndex leaf) {
   NodeIndex attach_parent = target;
   std::optional<SymmetricKey> split_leaf_key;
 
-  if (static_cast<int>(at(target).children.size()) >= degree_) {
+  if (static_cast<std::int64_t>(at(target).child_count) >= store_.degree) {
     // Split the lightest (leaf) child: a fresh intermediate k-node takes its
     // place and adopts both the old leaf and the new user's leaf.
-    const auto& siblings = at(target).children;
-    const NodeIndex old_leaf = *std::min_element(
-        siblings.begin(), siblings.end(), [this](NodeIndex a, NodeIndex b) {
-          return at(a).user_count < at(b).user_count;
-        });
-    split_leaf_key = at(old_leaf).key();
-    const NodeIndex intermediate = make_node();  // may grow the arena
-    Node& parent = at(target);
-    *std::find(parent.children.begin(), parent.children.end(), old_leaf) =
-        intermediate;
-    Node& middle = at(intermediate);
-    middle.parent = target;
-    middle.user_count = at(old_leaf).user_count;
-    middle.children.push_back(old_leaf);
-    at(old_leaf).parent = intermediate;
+    const NodeIndex old_leaf = lightest_child(target);
+    split_leaf_key = key(old_leaf);
+    const NodeIndex intermediate = make_node();
+    replace_child(target, old_leaf, intermediate);
+    const std::uint32_t users = at(old_leaf).user_count;
+    mut(intermediate).user_count = users;
+    append_child(intermediate, old_leaf);
     attach_parent = intermediate;
   }
 
-  at(attach_parent).children.push_back(leaf);
-  at(leaf).parent = attach_parent;
+  append_child(attach_parent, leaf);
   bump_counts(attach_parent, +1);
+  raise_heights(leaf);
   return {attach_parent, std::move(split_leaf_key)};
 }
 
+KeyTree::NodeIndex KeyTree::detach_leaf(NodeIndex leaf,
+                                        std::vector<KeyId>& removed) {
+  const NodeIndex parent = at(leaf).parent;
+  removed.push_back(at(leaf).id);
+  remove_child(parent, leaf);
+  bump_counts(parent, -1);
+  destroy_node(leaf);
+
+  // Splice out a non-root parent left with a single child: the child keeps
+  // its own key and moves up one level, shrinking user keysets by one key.
+  NodeIndex start = parent;
+  if (at(parent).parent != kNil && at(parent).child_count == 1) {
+    const NodeIndex child = at(parent).first_child;
+    const NodeIndex grandparent = at(parent).parent;
+    replace_child(grandparent, parent, child);
+    removed.push_back(at(parent).id);
+    destroy_node(parent);
+    start = grandparent;
+  }
+  recompute_heights(start);
+  return start;
+}
+
 JoinRecord KeyTree::join(UserId user, Bytes individual_key) {
-  if (user_leaves_.contains(user)) {
+  if (store_.find(individual_key_id(user)) != kNil) {
     throw ProtocolError("KeyTree: user already in group");
   }
-  if (individual_key.size() != key_size_) {
+  if (individual_key.size() != store_.key_size) {
     throw ProtocolError("KeyTree: individual key has wrong size");
   }
 
-  const NodeIndex leaf = make_node(individual_key_id(user));
-  {
-    Node& node = at(leaf);
-    node.user = user;
-    node.secret = std::move(individual_key);
-    node.version = 1;
-    node.user_count = 1;
-  }
-  user_leaves_.emplace(user, leaf);
-
+  const NodeIndex leaf = make_leaf(user, individual_key);
+  secure_wipe(individual_key);
   const auto [attach_parent, split_leaf_key] = attach_leaf(leaf);
 
   // The pre-join key of every ancestor is what existing members hold; it
   // wraps the corresponding new key. Capture before refreshing.
   JoinRecord record;
   record.user = user;
-  record.individual_key = at(leaf).key();
+  record.individual_key = key(leaf);
 
   std::vector<NodeIndex> path;  // attach parent up to root
   for (NodeIndex i = attach_parent; i != kNil; i = at(i).parent) {
@@ -161,57 +254,34 @@ JoinRecord KeyTree::join(UserId user, Bytes individual_key) {
 
   const bool had_members = user_count() > 1;
   for (NodeIndex i : path) {
-    Node& node = at(i);
     PathChange change;
-    change.node = node.id;
+    change.node = at(i).id;
     if (split_leaf_key.has_value() && i == attach_parent) {
       // Brand-new intermediate: the only existing holder-to-be is the split
       // leaf's user, reachable through its individual key.
       change.old_key = split_leaf_key;
     } else if (had_members) {
-      change.old_key = node.key();
+      change.old_key = key(i);
     }
-    refresh_key(node);
-    change.new_key = node.key();
+    refresh_key(i);
+    change.new_key = key(i);
     record.path.push_back(std::move(change));
   }
-  for (NodeIndex child : at(root_index_).children) {
-    record.root_children.push_back(at(child).id);
+  for (NodeIndex c = at(store_.root).first_child; c != kNil;
+       c = at(c).next_sibling) {
+    record.root_children.push_back(at(c).id);
   }
   publish_next();
   return record;
 }
 
 LeaveRecord KeyTree::leave(UserId user) {
-  auto it = user_leaves_.find(user);
-  if (it == user_leaves_.end()) {
-    throw ProtocolError("KeyTree: user not in group");
-  }
-  const NodeIndex leaf = it->second;
-  const NodeIndex parent = at(leaf).parent;
-  user_leaves_.erase(it);
+  const NodeIndex leaf = store_.find_leaf(user);
+  if (leaf == kNil) throw ProtocolError("KeyTree: user not in group");
 
   LeaveRecord record;
   record.user = user;
-  record.removed_nodes.push_back(at(leaf).id);
-
-  std::erase(at(parent).children, leaf);
-  bump_counts(parent, -1);
-  destroy_node(leaf);
-
-  // Splice out a non-root parent left with a single child: the child keeps
-  // its own key and moves up one level, shrinking user keysets by one key.
-  NodeIndex rekey_start = parent;
-  if (at(parent).parent != kNil && at(parent).children.size() == 1) {
-    const NodeIndex child = at(parent).children.front();
-    const NodeIndex grandparent = at(parent).parent;
-    auto& uncles = at(grandparent).children;
-    *std::find(uncles.begin(), uncles.end(), parent) = child;
-    at(child).parent = grandparent;
-    record.removed_nodes.push_back(at(parent).id);
-    destroy_node(parent);
-    rekey_start = grandparent;
-  }
+  const NodeIndex rekey_start = detach_leaf(leaf, record.removed_nodes);
 
   std::vector<NodeIndex> path;  // rekey start up to root
   for (NodeIndex i = rekey_start; i != kNil; i = at(i).parent) {
@@ -220,11 +290,10 @@ LeaveRecord KeyTree::leave(UserId user) {
   std::reverse(path.begin(), path.end());  // root first
 
   for (NodeIndex i : path) {
-    Node& node = at(i);
-    refresh_key(node);
+    refresh_key(i);
     PathChange change;
-    change.node = node.id;
-    change.new_key = node.key();  // old key is compromised; never recorded
+    change.node = at(i).id;
+    change.new_key = key(i);  // old key is compromised; never recorded
     record.path.push_back(std::move(change));
   }
   // Snapshot children after all refreshes so on-path children already carry
@@ -232,9 +301,10 @@ LeaveRecord KeyTree::leave(UserId user) {
   record.children.resize(path.size());
   for (std::size_t i = 0; i < path.size(); ++i) {
     const NodeIndex next_on_path = i + 1 < path.size() ? path[i + 1] : kNil;
-    for (NodeIndex child : at(path[i]).children) {
+    for (NodeIndex c = at(path[i]).first_child; c != kNil;
+         c = at(c).next_sibling) {
       record.children[i].push_back(
-          ChildKey{at(child).id, at(child).key(), child == next_on_path});
+          ChildKey{at(c).id, key(c), c == next_on_path});
     }
   }
   publish_next();
@@ -244,24 +314,27 @@ LeaveRecord KeyTree::leave(UserId user) {
 BatchRecord KeyTree::batch_update(
     const std::vector<std::pair<UserId, Bytes>>& joins,
     const std::vector<UserId>& leaves) {
-  // Validate everything before mutating anything.
-  std::set<UserId> joining, leaving;
+  // Validate everything before mutating anything. Joiners are keyed by
+  // their leaf id: two users whose ids differ only in the top bit would
+  // share one.
+  std::set<KeyId> joining;
+  std::set<UserId> leaving;
   for (const auto& [user, key] : joins) {
-    if (user_leaves_.contains(user)) {
+    if (store_.find(individual_key_id(user)) != kNil) {
       throw ProtocolError("batch: joining user already in group");
     }
-    if (!joining.insert(user).second) {
+    if (!joining.insert(individual_key_id(user)).second) {
       throw ProtocolError("batch: duplicate join");
     }
-    if (key.size() != key_size_) {
+    if (key.size() != store_.key_size) {
       throw ProtocolError("batch: individual key has wrong size");
     }
   }
   for (UserId user : leaves) {
-    if (joining.contains(user)) {
+    if (joining.contains(individual_key_id(user))) {
       throw ProtocolError("batch: user both joins and leaves");
     }
-    if (!user_leaves_.contains(user)) {
+    if (store_.find_leaf(user) == kNil) {
       throw ProtocolError("batch: leaving user not in group");
     }
     if (!leaving.insert(user).second) {
@@ -274,26 +347,13 @@ BatchRecord KeyTree::batch_update(
 
   // Leaves first: free the slots, mark every path to the root.
   for (UserId user : leaves) {
-    const NodeIndex leaf = user_leaves_.at(user);
-    const NodeIndex parent = at(leaf).parent;
-    user_leaves_.erase(user);
-    record.removed_nodes.push_back(at(leaf).id);
     record.left.push_back(user);
-    std::erase(at(parent).children, leaf);
-    bump_counts(parent, -1);
-    destroy_node(leaf);
-
-    NodeIndex start = parent;
-    if (at(parent).parent != kNil && at(parent).children.size() == 1) {
-      const NodeIndex child = at(parent).children.front();
-      const NodeIndex grandparent = at(parent).parent;
-      auto& uncles = at(grandparent).children;
-      *std::find(uncles.begin(), uncles.end(), parent) = child;
-      at(child).parent = grandparent;
-      record.removed_nodes.push_back(at(parent).id);
-      changed.erase(at(parent).id);  // may be marked by a prior leave
-      destroy_node(parent);
-      start = grandparent;
+    const std::size_t removed_before = record.removed_nodes.size();
+    const NodeIndex start =
+        detach_leaf(store_.find_leaf(user), record.removed_nodes);
+    if (record.removed_nodes.size() - removed_before == 2) {
+      // The spliced-out parent may be marked by a prior leave.
+      changed.erase(record.removed_nodes.back());
     }
     for (NodeIndex i = start; i != kNil; i = at(i).parent) {
       changed.insert(at(i).id);
@@ -302,17 +362,7 @@ BatchRecord KeyTree::batch_update(
 
   // Then joins: attach per the balance heuristic, mark the paths.
   for (const auto& [user, key] : joins) {
-    const NodeIndex leaf = make_node(individual_key_id(user));
-    {
-      Node& node = at(leaf);
-      node.user = user;
-      node.secret = key;
-      node.version = 1;
-      node.user_count = 1;
-    }
-    user_leaves_.emplace(user, leaf);
-
-    const NodeIndex attach_parent = attach_leaf(leaf).first;
+    const NodeIndex attach_parent = attach_leaf(make_leaf(user, key)).first;
     for (NodeIndex i = attach_parent; i != kNil; i = at(i).parent) {
       changed.insert(at(i).id);
     }
@@ -320,17 +370,18 @@ BatchRecord KeyTree::batch_update(
   }
 
   // Rekey every affected node exactly once — the whole point of batching.
-  for (KeyId id : changed) refresh_key(at(by_id_.at(id)));
+  for (KeyId id : changed) refresh_key(store_.find(id));
 
   // Snapshot after all refreshes so wrapped-under-child keys are current.
   for (KeyId id : changed) {
-    const Node& node = at(by_id_.at(id));
+    const NodeIndex node = store_.find(id);
     BatchChange change;
     change.node = id;
-    change.new_key = node.key();
-    for (NodeIndex child : node.children) {
-      change.children.push_back(ChildKey{at(child).id, at(child).key(),
-                                         changed.contains(at(child).id)});
+    change.new_key = key(node);
+    for (NodeIndex c = at(node).first_child; c != kNil;
+         c = at(c).next_sibling) {
+      change.children.push_back(
+          ChildKey{at(c).id, key(c), changed.contains(at(c).id)});
     }
     record.changes.push_back(std::move(change));
   }
@@ -342,21 +393,18 @@ BatchRecord KeyTree::batch_update(
 }
 
 std::size_t KeyTree::user_count() const noexcept {
-  return user_leaves_.size();
+  return at(store_.root).user_count;
 }
 
 bool KeyTree::has_user(UserId user) const {
-  return user_leaves_.contains(user);
+  return store_.find_leaf(user) != kNil;
 }
 
-std::size_t KeyTree::key_count() const noexcept { return live_nodes_; }
+std::size_t KeyTree::key_count() const noexcept { return store_.live; }
 
 std::size_t KeyTree::height() const { return view()->height(); }
 
-SymmetricKey KeyTree::group_key() const {
-  const Node& root = at(root_index_);
-  return SymmetricKey{root.id, root.version, root.secret};
-}
+SymmetricKey KeyTree::group_key() const { return key(store_.root); }
 
 std::vector<UserId> KeyTree::users_under(KeyId node_id) const {
   return view()->users_under(node_id);
@@ -367,15 +415,10 @@ std::vector<SymmetricKey> KeyTree::keyset(UserId user) const {
 }
 
 std::vector<SymmetricKey> KeyTree::arena_keyset(UserId user) const {
-  auto it = user_leaves_.find(user);
-  if (it == user_leaves_.end()) {
-    throw ProtocolError("KeyTree: user not in group");
-  }
+  const NodeIndex leaf = store_.find_leaf(user);
+  if (leaf == kNil) throw ProtocolError("KeyTree: user not in group");
   std::vector<SymmetricKey> out;
-  for (NodeIndex i = it->second; i != kNil; i = at(i).parent) {
-    const Node& node = at(i);
-    out.push_back(SymmetricKey{node.id, node.version, node.secret});
-  }
+  for (NodeIndex i = leaf; i != kNil; i = at(i).parent) out.push_back(key(i));
   return out;
 }
 
@@ -411,107 +454,9 @@ void KeyTree::publish_next() {
 
 void KeyTree::publish(std::uint64_t epoch) {
   auto fresh = std::shared_ptr<TreeView>(new TreeView());
-  fresh->degree_ = degree_;
-  fresh->key_size_ = key_size_;
-  fresh->next_id_ = next_id_;
+  fresh->store_ = store_;  // copies the page tables, shares every page
   fresh->epoch_ = epoch;
-
-  const std::size_t count = live_nodes_;
-  fresh->nodes_.reserve(count);
-  fresh->children_.reserve(count > 0 ? count - 1 : 0);
-  fresh->secrets_.resize(count * key_size_);
-
-  // Preorder walk with reversed child pushes — the exact order the
-  // historical serialize() emitted, so the view's serialize() is a linear
-  // scan with identical bytes. `slot` is the child's cell in the parent's
-  // children block, assigned before the child is visited.
-  struct Frame {
-    NodeIndex arena;
-    std::uint32_t parent_view;
-    std::uint32_t slot;
-    std::uint32_t depth;
-  };
-  std::vector<std::uint32_t> arena_to_view(arena_.size(),
-                                           TreeView::kNilIndex);
-  std::vector<Frame> stack{{root_index_, TreeView::kNilIndex, 0, 0}};
-  KeyId max_internal = 0;
-  std::size_t height = 0;
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const Node& src = at(frame.arena);
-    const auto v = static_cast<std::uint32_t>(fresh->nodes_.size());
-    arena_to_view[frame.arena] = v;
-    if (frame.parent_view != TreeView::kNilIndex) {
-      fresh->children_[frame.slot] = v;
-    }
-    height = std::max(height, static_cast<std::size_t>(frame.depth));
-
-    TreeView::Node out;
-    out.id = src.id;
-    out.version = src.version;
-    out.parent = frame.parent_view;
-    out.user_count = src.user_count;
-    out.leaf = src.is_leaf();
-    if (out.leaf) {
-      out.user = *src.user;
-    } else {
-      max_internal = std::max(max_internal, src.id);
-    }
-    out.first_child = static_cast<std::uint32_t>(fresh->children_.size());
-    out.child_count = static_cast<std::uint32_t>(src.children.size());
-    std::memcpy(fresh->secrets_.data() + std::size_t{v} * key_size_,
-                src.secret.data(), key_size_);
-    fresh->children_.resize(fresh->children_.size() + src.children.size(), 0);
-    for (std::size_t i = src.children.size(); i-- > 0;) {
-      stack.push_back({src.children[i], v,
-                       out.first_child + static_cast<std::uint32_t>(i),
-                       frame.depth + 1});
-    }
-    fresh->nodes_.push_back(out);
-  }
-  fresh->height_ = height;
-
-  // Reverse pass: in preorder, a parent's subtree ends where its last
-  // child's subtree ends.
-  for (std::size_t i = fresh->nodes_.size(); i-- > 0;) {
-    TreeView::Node& node = fresh->nodes_[i];
-    if (node.child_count == 0) {
-      node.subtree_end = static_cast<std::uint32_t>(i) + 1;
-    } else {
-      const std::uint32_t last =
-          fresh->children_[node.first_child + node.child_count - 1];
-      node.subtree_end = fresh->nodes_[last].subtree_end;
-    }
-  }
-
-  // Internal-id lookup: dense table when the id range is close to the node
-  // count, sorted fallback when churn has made ids sparse.
-  if (max_internal + 1 <= 4 * count + 64) {
-    fresh->by_internal_id_.assign(static_cast<std::size_t>(max_internal) + 1,
-                                  TreeView::kNilIndex);
-    for (std::uint32_t i = 0; i < fresh->nodes_.size(); ++i) {
-      const TreeView::Node& node = fresh->nodes_[i];
-      if (!node.leaf) {
-        fresh->by_internal_id_[static_cast<std::size_t>(node.id)] = i;
-      }
-    }
-  } else {
-    fresh->by_internal_sparse_.reserve(count - user_leaves_.size());
-    for (std::uint32_t i = 0; i < fresh->nodes_.size(); ++i) {
-      if (!fresh->nodes_[i].leaf) {
-        fresh->by_internal_sparse_.emplace_back(fresh->nodes_[i].id, i);
-      }
-    }
-    std::sort(fresh->by_internal_sparse_.begin(),
-              fresh->by_internal_sparse_.end());
-  }
-
-  // user_leaves_ is an ordered map, so the by-user table comes out sorted.
-  fresh->by_user_.reserve(user_leaves_.size());
-  for (const auto& [user, arena_index] : user_leaves_) {
-    fresh->by_user_.emplace_back(user, arena_to_view[arena_index]);
-  }
+  ++edit_;  // the view now shares every page: the next write clones
 
   if (telemetry::enabled()) {
     auto& registry = telemetry::Registry::global();
@@ -525,8 +470,10 @@ void KeyTree::publish(std::uint64_t epoch) {
     epoch_gauge.set(static_cast<std::int64_t>(epoch));
   }
 
+  TreeViewPtr retired;  // released after the lock, with any pages it alone held
   {
     const std::lock_guard lock(view_mutex_);
+    retired = std::move(view_);
     view_ = std::move(fresh);
   }
 }
@@ -546,14 +493,10 @@ std::unique_ptr<KeyTree> KeyTree::deserialize(BytesView data,
     throw ParseError("KeyTree: implausible parameters");
   }
   auto tree = std::make_unique<KeyTree>(degree, key_size, rng);
-  for (Node& node : tree->arena_) secure_wipe(node.secret);
-  tree->arena_.clear();
-  tree->by_id_.clear();
-  tree->user_leaves_.clear();
-  tree->free_head_ = kNil;
-  tree->live_nodes_ = 0;
-  tree->root_index_ = kNil;
-  tree->root_ = 0;
+  detail::TreeStore& store = tree->store_;
+  store = detail::TreeStore{};
+  store.degree = degree;
+  store.key_size = key_size;
   const KeyId stored_next_id = reader.u64();
 
   const std::uint64_t node_count = reader.u64();
@@ -562,94 +505,87 @@ std::unique_ptr<KeyTree> KeyTree::deserialize(BytesView data,
   }
 
   // Recursive-descent over the pre-order stream, iteratively: a stack of
-  // (parent, remaining-children) frames.
+  // (parent, remaining-children, last linked child) frames.
   struct Frame {
     NodeIndex parent;
     std::uint16_t remaining;
+    NodeIndex last_child;
   };
   std::vector<Frame> frames;
   std::uint64_t read_nodes = 0;
   KeyId max_internal_id = 0;
   while (read_nodes < node_count) {
     const KeyId id = reader.u64();
-    if (tree->by_id_.contains(id)) {
+    if (id == 0) throw ParseError("KeyTree: zero node id");
+    if (store.find(id) != kNil) {
       throw ParseError("KeyTree: duplicate node id");
     }
     const NodeIndex index = tree->make_node(id);
     ++read_nodes;
-    {
-      Node& node = tree->at(index);
-      node.version = reader.u32();
-      node.secret = reader.var_bytes();
-      if (node.secret.size() != key_size) {
-        throw ParseError("KeyTree: key size mismatch");
-      }
+    const KeyVersion version = reader.u32();
+    Bytes secret = reader.var_bytes();
+    if (secret.size() != key_size) {
+      throw ParseError("KeyTree: key size mismatch");
     }
-    if (reader.u8() != 0) {
+    std::memcpy(tree->mut_secret(index), secret.data(), key_size);
+    secure_wipe(secret);
+    tree->mut(index).version = version;
+    const bool leaf = reader.u8() != 0;
+    if (leaf) {
       const UserId user = reader.u64();
-      Node& node = tree->at(index);
+      Slot& node = tree->mut(index);
+      node.leaf = true;
       node.user = user;
-      node.user_count = 1;
-      if (node.id != individual_key_id(user)) {
+      if (id != individual_key_id(user)) {
         throw ParseError("KeyTree: leaf id mismatch");
-      }
-      if (!tree->user_leaves_.emplace(user, index).second) {
-        throw ParseError("KeyTree: duplicate user");
       }
     } else if ((id >> 63) != 0) {
       // The top bit is the individual-key namespace; an internal k-node
-      // there would be unreachable through the id tables.
+      // there would shadow a user's leaf in the id index.
       throw ParseError("KeyTree: implausible internal id");
     } else {
       max_internal_id = std::max(max_internal_id, id);
     }
     const std::uint16_t children = reader.u16();
-    if (tree->at(index).is_leaf() && children != 0) {
+    if (leaf && children != 0) {
       throw ParseError("KeyTree: leaf with children");
     }
 
     if (frames.empty()) {
-      if (tree->root_index_ != kNil) {
+      if (store.root != kNil) {
         throw ParseError("KeyTree: multiple roots");
       }
-      tree->root_index_ = index;
-      tree->root_ = id;
+      store.root = index;
     } else {
       Frame& top = frames.back();
-      tree->at(index).parent = top.parent;
-      tree->at(top.parent).children.push_back(index);
+      if (top.last_child == kNil) {
+        tree->mut(top.parent).first_child = index;
+      } else {
+        tree->mut(top.last_child).next_sibling = index;
+      }
+      ++tree->mut(top.parent).child_count;
+      tree->mut(index).parent = top.parent;
+      top.last_child = index;
       if (--top.remaining == 0) frames.pop_back();
     }
-    if (children > 0) frames.push_back(Frame{index, children});
+    if (children > 0) frames.push_back(Frame{index, children, kNil});
   }
   reader.expect_done();
-  if (!frames.empty() || tree->root_index_ == kNil || tree->root_ == 0) {
+  if (!frames.empty() || store.root == kNil) {
     throw ParseError("KeyTree: truncated structure");
   }
 
-  // Recompute user counts bottom-up, then let the invariant checker vet
-  // everything else (arity, links, key sizes, leaf indexing).
-  struct CountFrame {
-    NodeIndex node;
-    std::size_t child_index;
-  };
-  std::vector<CountFrame> walk{{tree->root_index_, 0}};
-  while (!walk.empty()) {
-    CountFrame& frame = walk.back();
-    Node& node = tree->at(frame.node);
-    if (node.is_leaf()) {
-      walk.pop_back();
-      continue;
-    }
-    if (frame.child_index < node.children.size()) {
-      walk.push_back({node.children[frame.child_index++], 0});
-      continue;
-    }
-    node.user_count = 0;
-    for (NodeIndex child : node.children) {
-      node.user_count += tree->at(child).user_count;
-    }
-    walk.pop_back();
+  // Slots were handed out in preorder, so walking them backwards visits
+  // every child before its parent: accumulate user counts and heights
+  // upward, then let the invariant checker vet everything else (arity,
+  // links, leaf indexing).
+  for (NodeIndex i = store.slot_count; i-- > 0;) {
+    if (tree->at(i).leaf) tree->mut(i).user_count = 1;
+    const Slot node = tree->at(i);
+    if (node.parent == kNil) continue;
+    Slot& parent = tree->mut(node.parent);
+    parent.user_count += node.user_count;
+    parent.height = std::max(parent.height, node.height + 1);
   }
   try {
     tree->check_invariants();
@@ -664,85 +600,110 @@ std::unique_ptr<KeyTree> KeyTree::deserialize(BytesView data,
   // so parsing advanced the counter by node_count. Restore the serialized
   // value: a replica must keep allocating from the primary's counter, and
   // serialize -> deserialize -> serialize must round-trip byte-identically.
-  tree->next_id_ = stored_next_id;
+  store.next_id = stored_next_id;
   tree->publish(0);
   return tree;
 }
 
 void KeyTree::check_invariants() const {
-  std::size_t leaves_seen = 0;
+  if (store_.slot_count > store_.slots.capacity()) {
+    throw Error("invariant: slot count beyond the pages");
+  }
+  for (const char* problem : {store_.slots.audit(store_.key_size, edit_),
+                              store_.index.audit(0, edit_)}) {
+    if (problem != nullptr) throw Error(std::string("invariant: ") + problem);
+  }
+  // Structure: a walk from the root must reach every live slot exactly once.
+  std::vector<bool> seen(store_.slot_count, false);
   std::size_t nodes_seen = 0;
-  std::vector<NodeIndex> stack{root_index_};
+  std::vector<NodeIndex> stack{store_.root};
+  if (store_.root >= store_.slot_count || at(store_.root).parent != kNil) {
+    throw Error("invariant: root slot broken");
+  }
   while (!stack.empty()) {
     const NodeIndex index = stack.back();
     stack.pop_back();
-    const Node& node = at(index);
+    if (seen[index]) throw Error("invariant: slot reachable twice");
+    seen[index] = true;
     ++nodes_seen;
-    if (!node.in_use) {
+    const Slot node = at(index);
+    if (!node.live) {
       throw Error("invariant: reachable node not marked live");
     }
-    if (static_cast<int>(node.children.size()) > degree_) {
+    if (static_cast<std::int64_t>(node.child_count) > store_.degree) {
       throw Error("invariant: node arity exceeds degree");
     }
-    if (node.secret.size() != key_size_) {
-      throw Error("invariant: key size mismatch");
+    if (store_.find(node.id) != index) {
+      throw Error("invariant: id index does not map the node");
     }
-    if (node.is_leaf()) {
-      ++leaves_seen;
-      if (!node.children.empty()) {
+    if (node.leaf) {
+      if (node.first_child != kNil || node.child_count != 0) {
         throw Error("invariant: leaf with children");
       }
-      if (node.user_count != 1) {
+      if (node.user_count != 1 || node.height != 0) {
         throw Error("invariant: leaf user_count != 1");
       }
-      auto it = user_leaves_.find(*node.user);
-      if (it == user_leaves_.end() || it->second != index) {
+      if (node.id != individual_key_id(node.user)) {
         throw Error("invariant: leaf not indexed by user");
       }
-    } else {
-      std::size_t sum = 0;
-      for (NodeIndex child : node.children) {
-        if (at(child).parent != index) {
-          throw Error("invariant: child/parent link broken");
-        }
-        sum += at(child).user_count;
-        stack.push_back(child);
+      continue;
+    }
+    std::size_t children = 0;
+    std::size_t users = 0;
+    std::uint32_t height = 0;
+    for (NodeIndex c = node.first_child; c != kNil; c = at(c).next_sibling) {
+      if (c >= store_.slot_count || ++children > node.child_count) {
+        throw Error("invariant: child list longer than child_count");
       }
-      if (sum != node.user_count) {
-        throw Error("invariant: user_count mismatch");
+      if (at(c).parent != index) {
+        throw Error("invariant: child/parent link broken");
       }
-      if (node.parent != kNil && node.children.size() < 2) {
-        throw Error("invariant: non-root internal node with < 2 children");
-      }
+      users += at(c).user_count;
+      height = std::max(height, at(c).height + 1);
+      stack.push_back(c);
+    }
+    if (children != node.child_count) {
+      throw Error("invariant: child list shorter than child_count");
+    }
+    if (users != node.user_count) {
+      throw Error("invariant: user_count mismatch");
+    }
+    if (height != node.height) {
+      throw Error("invariant: subtree height mismatch");
+    }
+    if (node.parent != kNil && children < 2) {
+      throw Error("invariant: non-root internal node with < 2 children");
     }
   }
-  if (leaves_seen != user_leaves_.size()) {
-    throw Error("invariant: leaf count != user count");
-  }
-  if (nodes_seen != live_nodes_) {
+  if (nodes_seen != store_.live) {
     throw Error("invariant: orphan k-nodes present");
   }
-  // Arena accounting: every slot is live or on the free list, never both,
-  // and the id index maps exactly the live slots.
+  // Arena accounting: every slot is live or on the free list, never both.
   std::size_t free_seen = 0;
-  for (NodeIndex i = free_head_; i != kNil; i = at(i).next_free) {
-    if (++free_seen > arena_.size()) {
-      throw Error("invariant: free-list cycle");
+  for (NodeIndex i = store_.free_head; i != kNil; i = at(i).next_sibling) {
+    if (i >= store_.slot_count || seen[i]) {
+      throw Error("invariant: free list reaches a live or repeated slot");
     }
-    if (at(i).in_use) {
-      throw Error("invariant: free slot marked live");
-    }
+    seen[i] = true;
+    ++free_seen;
+    if (at(i).live) throw Error("invariant: free slot marked live");
   }
-  if (live_nodes_ + free_seen != arena_.size()) {
+  if (store_.live + free_seen != store_.slot_count) {
     throw Error("invariant: arena slot accounting broken");
   }
-  if (by_id_.size() != live_nodes_) {
-    throw Error("invariant: id index size mismatch");
-  }
-  for (const auto& [id, index] : by_id_) {
-    if (index >= arena_.size() || !at(index).in_use || at(index).id != id) {
+  // The id index maps exactly the live slots.
+  std::size_t indexed = 0;
+  for (std::uint32_t b = 0; b < store_.index.capacity(); ++b) {
+    const detail::IndexEntry& entry = store_.index[b];
+    if (entry.id == 0) continue;
+    ++indexed;
+    if (entry.slot >= store_.slot_count || !at(entry.slot).live ||
+        at(entry.slot).id != entry.id || store_.find(entry.id) != entry.slot) {
       throw Error("invariant: id index entry broken");
     }
+  }
+  if (indexed != store_.live) {
+    throw Error("invariant: id index size mismatch");
   }
 }
 

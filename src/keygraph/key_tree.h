@@ -11,21 +11,21 @@
 // spare capacity (splitting a leaf when every node on the way is full), and
 // a leave splices out internal nodes left with a single child.
 //
-// Storage: nodes live in a contiguous arena (one std::vector<Node> slab
-// with integer indices and an intrusive free list) instead of per-node heap
-// allocations behind an id map — traversal walks a flat array. At the end
-// of every mutation the writer publishes an immutable TreeView snapshot
-// (shared_ptr swap); readers acquire views via view() and never block on or
-// race with the writer. The traversal-heavy read API (users_under, keyset,
-// users, height, serialize) answers from the current view.
+// Storage: k-nodes live in a slot arena held in fixed-size copy-on-write
+// pages (detail::TreeStore in tree_view.h), with one KeyId -> slot index in
+// the same kind of pages. A join, leave or batch writes only the O(d log n)
+// slots on the paths it changes, cloning each page it writes once per
+// epoch; at the end of every mutation the writer publishes an immutable
+// TreeView by copying the store's page tables, then swapping a shared_ptr.
+// Readers acquire views via view() and never block on or race with the
+// writer. The traversal-heavy read API (users_under, keyset, users, height,
+// serialize) answers from the current view.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/random.h"
@@ -152,12 +152,12 @@ class KeyTree {
   /// — O(1), no traversal (it sits on the stats hot path).
   [[nodiscard]] std::size_t height() const;
 
-  [[nodiscard]] int degree() const noexcept { return degree_; }
+  [[nodiscard]] int degree() const noexcept { return store_.degree; }
 
   /// Current group key (the root k-node's key).
   [[nodiscard]] SymmetricKey group_key() const;
 
-  [[nodiscard]] KeyId root_id() const noexcept { return root_; }
+  [[nodiscard]] KeyId root_id() const noexcept { return at(store_.root).id; }
 
   /// userset(k): all users in the subtree of `node` (paper Section 2.1).
   [[nodiscard]] std::vector<UserId> users_under(KeyId node) const;
@@ -188,9 +188,10 @@ class KeyTree {
   void publish_view();
 
   /// Structural invariants, asserted by tests after every operation:
-  /// child/parent links consistent, arity <= degree, user counts correct,
-  /// exactly one leaf per user, no orphan nodes, arena free list and
-  /// live-slot accounting consistent.
+  /// child/parent links consistent, arity <= degree, user counts and
+  /// subtree heights correct, every live slot reachable exactly once, the
+  /// id index mapping exactly the live slots, and the free list and page
+  /// stamps consistent.
   void check_invariants() const;
 
   /// Serializes the complete tree — structure AND key material. This is
@@ -208,61 +209,65 @@ class KeyTree {
 
  private:
   using NodeIndex = std::uint32_t;
-  static constexpr NodeIndex kNil = TreeView::kNilIndex;
+  using Slot = detail::TreeSlot;
+  static constexpr NodeIndex kNil = detail::kNilSlot;
 
-  /// One arena slot. `in_use` distinguishes live nodes from free-list
-  /// entries; free slots chain through `next_free`.
-  struct Node {
-    KeyId id = 0;
-    KeyVersion version = 0;
-    Bytes secret;
-    NodeIndex parent = kNil;
-    std::vector<NodeIndex> children;
-    std::optional<UserId> user;      // set iff leaf (individual key)
-    std::size_t user_count = 0;      // users in this subtree
-    bool in_use = false;
-    NodeIndex next_free = kNil;
-
-    [[nodiscard]] bool is_leaf() const noexcept { return user.has_value(); }
-    [[nodiscard]] SymmetricKey key() const { return {id, version, secret}; }
-  };
-
-  [[nodiscard]] Node& at(NodeIndex index) { return arena_[index]; }
-  [[nodiscard]] const Node& at(NodeIndex index) const {
-    return arena_[index];
+  [[nodiscard]] const Slot& at(NodeIndex index) const {
+    return store_.at(index);
+  }
+  /// The slot for writing, cloning its page first if a view shares it.
+  /// Take a fresh reference after any other write: never write through a
+  /// reference obtained from at().
+  [[nodiscard]] Slot& mut(NodeIndex index) {
+    return store_.slots.mut(index, edit_);
+  }
+  /// The slot's key material for writing, under the same rule as mut().
+  [[nodiscard]] std::uint8_t* mut_secret(NodeIndex index) {
+    return store_.slots.mut_pool(index, store_.key_size, edit_);
+  }
+  [[nodiscard]] SymmetricKey key(NodeIndex index) const {
+    return store_.key(index);
   }
 
   NodeIndex make_node(std::optional<KeyId> fixed_id = std::nullopt);
+  /// Claims a fresh leaf for `user` holding `secret`.
+  NodeIndex make_leaf(UserId user, BytesView secret);
   void destroy_node(NodeIndex index);
-  void refresh_key(Node& node);
-  [[nodiscard]] NodeIndex find_join_parent() const;
+  void refresh_key(NodeIndex index);
   void bump_counts(NodeIndex from, std::ptrdiff_t delta);
+  /// Heights after `from` (a fresh leaf) was attached: they can only grow.
+  void raise_heights(NodeIndex from);
+  /// Heights after a child of `from` was removed or replaced, from `from`
+  /// up until one is unchanged.
+  void recompute_heights(NodeIndex from);
+  [[nodiscard]] NodeIndex lightest_child(NodeIndex parent) const;
+  void append_child(NodeIndex parent, NodeIndex child);
+  void remove_child(NodeIndex parent, NodeIndex child);
+  /// Puts `replacement` where `old` sits in the parent's child list.
+  void replace_child(NodeIndex parent, NodeIndex old, NodeIndex replacement);
+  [[nodiscard]] NodeIndex find_join_parent() const;
   /// Attaches a (pre-made) leaf per the balance heuristic; returns the
   /// attach parent and, when a full leaf had to be split, that leaf's
   /// pre-split individual key. Shared by join() and batch_update().
   std::pair<NodeIndex, std::optional<SymmetricKey>> attach_leaf(
       NodeIndex leaf);
-  /// Writer-side keyset (live arena, mid-mutation safe).
+  /// Unlinks and frees a user's leaf, splicing out a parent left with one
+  /// child; returns the deepest surviving node on the path. Appends the
+  /// freed ids to `removed`.
+  NodeIndex detach_leaf(NodeIndex leaf, std::vector<KeyId>& removed);
+  /// Writer-side keyset (live store, mid-mutation safe).
   [[nodiscard]] std::vector<SymmetricKey> arena_keyset(UserId user) const;
-  /// Builds a fresh immutable snapshot and swaps it in; refreshes the
-  /// tree-shape telemetry gauges.
+  /// Publishes a view sharing the current pages and swaps it in; refreshes
+  /// the tree-shape telemetry gauges.
   void publish(std::uint64_t epoch);
   /// publish() with the stamped/auto-incremented epoch label.
   void publish_next();
 
-  int degree_;
-  std::size_t key_size_;
   crypto::SecureRandom& rng_;
-  KeyId next_id_ = 1;
-
-  std::vector<Node> arena_;
-  NodeIndex free_head_ = kNil;
-  std::size_t live_nodes_ = 0;
-  std::unordered_map<KeyId, NodeIndex> by_id_;
-  /// Ordered so view publication emits the by-user table pre-sorted.
-  std::map<UserId, NodeIndex> user_leaves_;
-  NodeIndex root_index_ = kNil;
-  KeyId root_ = 0;
+  detail::TreeStore store_;
+  /// The writer's edit stamp: pages stamped with it are not in any view.
+  /// Bumped by every publish.
+  std::uint64_t edit_ = 1;
 
   /// Guards only the view_ pointer swap/copy (a leaf lock, never held
   /// across any other work); the snapshot itself is immutable.

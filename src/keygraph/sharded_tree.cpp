@@ -21,13 +21,13 @@ ShardedKeyTree::ShardedKeyTree(int degree, std::size_t key_size,
 
 std::size_t ShardedKeyTree::user_count() const {
   std::size_t total = 0;
-  for (const auto& tree : shards_) total += tree->user_count();
+  for (const auto& tree : shards_) total += tree->view()->user_count();
   return total;
 }
 
 std::size_t ShardedKeyTree::key_count() const {
   std::size_t total = 0;
-  for (const auto& tree : shards_) total += tree->key_count();
+  for (const auto& tree : shards_) total += tree->view()->key_count();
   return total;
 }
 

@@ -1,6 +1,6 @@
 // The sharded key tree: K independent subtree shards behind one router.
 //
-// Partitions the user population across K arena-backed KeyTrees (paper
+// Partitions the user population across K copy-on-write KeyTrees (paper
 // Sec. 7's scaling direction, via the hierarchical-partitioning argument of
 // the Iolus line of work): a membership operation touches exactly one
 // shard's tree, so K writers can mutate concurrently — each shard publishes
@@ -68,14 +68,16 @@ class ShardedKeyTree {
     return *rngs_[index];
   }
 
-  // --- Aggregates across all shards (reads on current views) ------------
+  // --- Aggregates across all shards ---------------------------------------
+  // These read each shard's published view, never the live tree, so they
+  // are safe from any thread while lanes mutate their shards.
 
   [[nodiscard]] std::size_t user_count() const;
   /// Total k-nodes across shard trees (excludes the shared group key the
   /// root layer may hold above them).
   [[nodiscard]] std::size_t key_count() const;
   [[nodiscard]] bool has_user(UserId user) const {
-    return shards_[router_.shard_of(user)]->has_user(user);
+    return shards_[router_.shard_of(user)]->view()->has_user(user);
   }
   /// Full user list, ascending ids (merged across shards).
   [[nodiscard]] std::vector<UserId> users() const;

@@ -896,8 +896,8 @@ std::optional<NackOutcome> ShardedGroupKeyServer::nack_with_token(
 void ShardedGroupKeyServer::preload(const std::vector<UserId>& users) {
   // Bounded batch_update chunks: BatchRecord materializes every joiner's
   // keyset, so one million-user update would hold the whole group's path
-  // key material at once. 8192 keeps the record and the per-chunk view
-  // publish both small while amortizing the per-publish node copy.
+  // key material at once. 8192 keeps each record small; a publish copies
+  // only page tables, so the chunk count costs little.
   constexpr std::size_t kChunk = 8192;
   const std::size_t shards = shard_count();
   std::vector<std::vector<UserId>> by_shard(shards);

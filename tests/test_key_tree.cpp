@@ -108,6 +108,20 @@ TEST(KeyTree, DuplicateJoinRejected) {
   EXPECT_THROW(tree.join(1, ik(1)), ProtocolError);
 }
 
+TEST(KeyTree, UsersSharingALeafIdRejected) {
+  // individual_key_id sets the top bit, so users 5 and 5 | 2^63 map to one
+  // leaf id; admitting both would alias two leaves in the id index.
+  constexpr UserId kTopBit = UserId{1} << 63;
+  KeyTree tree(4, 8, rng());
+  tree.join(5, ik(5));
+  EXPECT_THROW(tree.join(5 | kTopBit, ik(5)), ProtocolError);
+  EXPECT_THROW(tree.batch_update({{7, ik(7)}, {7 | kTopBit, ik(7)}}, {}),
+               ProtocolError);
+  EXPECT_EQ(tree.users(), std::vector<UserId>{5});
+  EXPECT_FALSE(tree.has_user(5 | kTopBit));
+  tree.check_invariants();
+}
+
 TEST(KeyTree, WrongKeySizeRejected) {
   KeyTree tree(4, 8, rng());
   EXPECT_THROW(tree.join(1, Bytes(16, 0)), ProtocolError);

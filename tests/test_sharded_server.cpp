@@ -495,5 +495,39 @@ TEST(ShardedServer, ConcurrentWritersWithNacks) {
   EXPECT_EQ(server.member_count(), 32u);
 }
 
+TEST(ShardedServer, MembershipReadsRaceShardChurn) {
+  // member_count() and has_member() take no lane lock: they must answer
+  // from each shard's published view while a writer churns that shard.
+  std::uint64_t now = 1'000'000;
+  CountingTransport wire;
+  server::ShardedGroupKeyServer server(sharded_config(2, &now), wire);
+  std::vector<UserId> churners;
+  for (UserId user = 100; churners.size() < 8; ++user) {
+    if (server.shard_of(user) == 0) churners.push_back(user);
+  }
+  for (UserId user = 1; user <= 16; ++user) server.join(user);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> reads{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::size_t members = server.member_count();
+      EXPECT_GE(members, 16u);
+      EXPECT_LE(members, 16u + churners.size());
+      (void)server.has_member(churners.front());
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int round = 0; round < 16; ++round) {
+    for (UserId user : churners) server.join(user);
+    for (UserId user : churners) server.leave(user);
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(server.member_count(), 16u);
+  EXPECT_FALSE(server.has_member(churners.front()));
+}
+
 }  // namespace
 }  // namespace keygraphs

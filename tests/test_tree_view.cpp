@@ -1,4 +1,4 @@
-// TreeView: the immutable per-epoch snapshots the arena-backed KeyTree
+// TreeView: the immutable per-epoch snapshots the copy-on-write KeyTree
 // publishes after every mutation. Views must (a) never change underneath a
 // reader, (b) answer every read exactly like the live tree, (c) serialize
 // byte-identically to the tree's own encoding, and (d) resolve key
@@ -190,7 +190,7 @@ TEST(TreeView, KeySnapshotResolvesThroughBoundView) {
 TEST(TreeView, SparseIdTableAfterLongChurn) {
   // Internal ids are allocation-counter values and are never reused, so
   // sustained churn leaves a small tree whose id range dwarfs its size —
-  // the view must fall back to the sparse id table and stay correct.
+  // the id index must keep resolving every live id.
   KeyTree tree(4, 8, rng());
   for (UserId u = 1; u <= 4; ++u) tree.join(u, ik(u));
   for (int round = 0; round < 300; ++round) {
