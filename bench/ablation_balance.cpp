@@ -21,7 +21,8 @@ void run_mix(double join_fraction, const char* label) {
   config.strategy = rekey::StrategyKind::kKeyOriented;
   config.rng_seed = 97;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   sim::WorkloadGenerator workload(5);
   for (const sim::Request& request : workload.initial_joins(1024)) {
     server.join(request.user);
@@ -50,11 +51,11 @@ void run_mix(double join_fraction, const char* label) {
         server.leave(request.user);
       }
     }
-    server.tree().check_invariants();
-    const std::size_t n = server.tree().user_count();
+    server.tree().shard(0).check_invariants();
+    const std::size_t n = server.member_count();
     const double optimal =
         n > 1 ? std::log(static_cast<double>(n)) / std::log(degree) : 0.0;
-    const double height = static_cast<double>(server.tree().height());
+    const double height = static_cast<double>(server.shard_view(0)->height());
     using P = sim::TablePrinter;
     table.row({P::num(round * per_round), P::num(n), P::num(height, 0),
                P::num(optimal, 2), P::num(height - optimal, 2),

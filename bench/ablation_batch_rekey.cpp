@@ -26,7 +26,8 @@ Point run(std::size_t n, std::size_t batch_size, std::size_t total_changes) {
   config.strategy = rekey::StrategyKind::kGroupOriented;
   config.rng_seed = 5150;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   sim::WorkloadGenerator workload(9);
   for (const sim::Request& request : workload.initial_joins(n)) {
     server.join(request.user);

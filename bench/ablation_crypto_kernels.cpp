@@ -21,7 +21,7 @@
 #include "crypto/des.h"
 #include "crypto/random.h"
 #include "crypto/reference.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "sim/workload.h"
 
 namespace keygraphs {
@@ -110,7 +110,8 @@ void schedule_cache_section() {
   config.strategy = rekey::StrategyKind::kGroupOriented;
   config.rng_seed = 1;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
 
   sim::WorkloadGenerator workload(1);
   for (const sim::Request& request : workload.initial_joins(n)) {

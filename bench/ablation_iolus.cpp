@@ -28,7 +28,8 @@ SystemCost run_lkh(std::size_t n, std::size_t churn, std::size_t data,
   config.strategy = rekey::StrategyKind::kGroupOriented;
   config.rng_seed = seed;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   sim::WorkloadGenerator workload(seed);
   for (const sim::Request& request : workload.initial_joins(n)) {
     server.join(request.user);

@@ -20,7 +20,7 @@
 #include "bench_util.h"
 #include "client/client.h"
 #include "common/io.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "telemetry/convergence.h"
 #include "telemetry/metrics.h"
 #include "transport/fault.h"
@@ -65,7 +65,8 @@ Point run(double drop, std::size_t window, std::size_t group_size,
   config.retransmit_window = window;
   config.recovery_rate = 0;  // the limiter is ablated separately
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
 
   transport::FaultConfig faults;
   faults.seed = 4242;
@@ -96,7 +97,7 @@ Point run(double drop, std::size_t window, std::size_t group_size,
         individual_key_id(user), 1,
         server.auth().individual_key(user, config.suite.key_size())});
     if (snapshot) {
-      client->admit_snapshot(server.tree().keyset(user), server.epoch());
+      client->admit_snapshot(server.keyset(user), server.epoch());
     }
     client::GroupClient& ref = *client;
     const auto resubscribe = [&network, &ref, user, root] {
@@ -143,7 +144,7 @@ Point run(double drop, std::size_t window, std::size_t group_size,
   };
 
   const auto all_synced = [&] {
-    const Bytes& secret = server.tree().group_key().secret;
+    const Bytes& secret = server.group_key().secret;
     for (const auto& [user, client] : members) {
       const auto key = client->group_key();
       if (!key.has_value() || key->secret != secret) return false;

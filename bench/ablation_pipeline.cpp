@@ -70,7 +70,8 @@ Point run(std::size_t n, std::size_t seal_threads,
   config.rng_seed = 5151;
   config.seal_threads = seal_threads;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   sim::WorkloadGenerator workload(9);
   for (const sim::Request& request : workload.initial_joins(n)) {
     server.join(request.user);

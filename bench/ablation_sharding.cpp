@@ -6,8 +6,8 @@
 //   - join/leave latency: single-caller, includes the root epoch stitch
 //   - sealed rekeys/sec with one writer thread per shard, showing the
 //     per-shard plan/seal pipelines overlapping
-// At K=1 the server is byte-identical to the unsharded GroupKeyServer, so
-// the K=1 row is the baseline the other rows are judged against.
+// K=1 is the paper's single key tree (no root layer), so the K=1 row is
+// the baseline the other rows are judged against.
 //
 // Scale knobs:
 //   KG_SHARD_MAX_N   largest group size   (default 65536; paper scale 1<<20)
@@ -103,7 +103,7 @@ void main_impl() {
       {{"max_shards", max_k}, {"writers_per_shard", 1}});
   std::printf("Ablation: sharded key tree, K writer threads (one per "
               "shard), %zu churn ops per point\n", ops);
-  std::printf("K=1 is wire-identical to the unsharded server; rekeys/s is "
+  std::printf("K=1 is the single key tree (no root layer); rekeys/s is "
               "the concurrent-writer sealed throughput\n\n");
   sim::TablePrinter table({{"shards", 7},
                            {"n", 9},

@@ -1,5 +1,5 @@
 // Ablation — the price of durability: rekey latency with the write-ahead
-// journal off versus each of the three storage backends.
+// journal off versus each storage backend.
 //
 // One server per backend admits KG_GROUP_SIZE members, then serves a churn
 // phase of alternating leaves and joins with every commit journaled (append
@@ -9,8 +9,7 @@
 // storage.fsync_ns telemetry, so the overhead decomposes into "time spent
 // making the record durable" versus everything else. `none` is the
 // pre-durability baseline; `memory` prices the framing + CRC alone; `file`
-// adds write(2)+fdatasync per commit; `mmap` trades the syscalls for
-// memcpy into a mapped segment plus msync.
+// adds write(2)+fdatasync per commit.
 //
 //   KG_GROUP_SIZE   members before the measured churn (default 65536)
 //   KG_REQUESTS     measured churn operations per backend (default 1000)
@@ -25,7 +24,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "storage/backend.h"
 #include "telemetry/metrics.h"
 #include "transport/transport.h"
@@ -63,16 +62,16 @@ Point run(const char* backend, std::size_t group_size,
   std::string dir;
   if (name == "memory") {
     config.storage.kind = storage::Kind::kMemory;
-  } else if (name == "file" || name == "mmap") {
-    config.storage.kind =
-        name == "file" ? storage::Kind::kFile : storage::Kind::kMmap;
+  } else if (name == "file") {
+    config.storage.kind = storage::Kind::kFile;
     dir = scratch_dir(backend);
     config.storage.journal_dir = dir;
   }
   config.storage.snapshot_interval = 4096;
 
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
 
   using Clock = std::chrono::steady_clock;
   const auto build_start = Clock::now();
@@ -130,7 +129,7 @@ void main_impl() {
   std::printf("%-8s %10s %10s %10s %12s %12s %12s %10s\n", "backend",
               "mean us", "p50 us", "p99 us", "append p99", "fsync p99",
               "wal bytes", "snapshots");
-  for (const char* backend : {"none", "memory", "file", "mmap"}) {
+  for (const char* backend : {"none", "memory", "file"}) {
     const Point point = run(backend, n, churn);
     std::printf("%-8s %10.2f %10.2f %10.2f %9llu ns %9llu ns %12llu %10llu\n",
                 backend, point.op_mean_us, point.op_p50_us, point.op_p99_us,

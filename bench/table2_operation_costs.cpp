@@ -29,7 +29,8 @@ Measured measure_tree(int degree, bool star, std::size_t n,
   if (star) config = server::ServerConfig::star(config);
 
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   sim::ClientSimulator simulator(server, network);
   sim::WorkloadGenerator workload(3);
   for (const sim::Request& request : workload.initial_joins(n)) {

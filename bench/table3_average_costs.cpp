@@ -25,7 +25,8 @@ Averages run_mixed(bool star, std::size_t n, std::size_t requests) {
   if (star) config = server::ServerConfig::star(config);
 
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   sim::ClientSimulator simulator(server, network);
   sim::WorkloadGenerator workload(2);
   for (const sim::Request& request : workload.initial_joins(n)) {

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 
@@ -24,16 +24,16 @@ int main() {
   config.rng_seed = 71;
 
   transport::InProcNetwork network;
-  auto primary =
-      std::make_unique<server::GroupKeyServer>(config, network);
+  auto primary = std::make_unique<server::ShardedGroupKeyServer>(
+      server::ShardedServerConfig{config}, network);
   sim::ClientSimulator clients(*primary, network);
   sim::WorkloadGenerator workload(17);
   clients.apply_all(workload.initial_joins(40));
   clients.apply_all(workload.churn(30));
   std::printf("primary: %zu members, epoch %llu, group key v%u\n",
-              primary->tree().user_count(),
+              primary->member_count(),
               static_cast<unsigned long long>(primary->epoch()),
-              primary->tree().group_key().version);
+              primary->group_key().version);
 
   // Continuous replication: after every operation the primary would stream
   // its snapshot; here we take the latest one before the "crash".
@@ -46,22 +46,23 @@ int main() {
   primary.reset();
   server::ServerConfig standby_config = config;
   standby_config.rng_seed = 72;
-  server::GroupKeyServer standby(standby_config, network);
+  server::ShardedGroupKeyServer standby(
+      server::ShardedServerConfig{standby_config}, network);
   standby.restore(snapshot);
   std::printf("standby restored: %zu members, epoch %llu — taking over\n",
-              standby.tree().user_count(),
+              standby.member_count(),
               static_cast<unsigned long long>(standby.epoch()));
 
   // The standby evicts a member and admits a new one. Existing members'
   // clients (which never spoke to the standby before) must follow along.
-  const UserId victim = standby.tree().users().front();
+  const UserId victim = standby.shard_view(0)->users().front();
   network.detach_client(victim);
   standby.leave(victim);
   standby.join(9999);  // a fresh admission handled entirely by the standby
 
-  const SymmetricKey group = standby.tree().group_key();
+  const SymmetricKey group = standby.group_key();
   std::size_t converged = 0;
-  for (UserId user : standby.tree().users()) {
+  for (UserId user : standby.shard_view(0)->users()) {
     if (user == 9999) continue;  // no simulated client for the newcomer
     if (clients.has_client(user)) {
       const auto held = clients.client(user).group_key();
@@ -70,10 +71,10 @@ int main() {
   }
   std::printf("after failover + leave + join: %zu/%zu surviving members "
               "converged on the standby's group key v%u\n",
-              converged, standby.tree().user_count() - 1,
+              converged, standby.member_count() - 1,
               group.version);
 
-  if (converged != standby.tree().user_count() - 1) {
+  if (converged != standby.member_count() - 1) {
     std::printf("FAILOVER BUG: members diverged\n");
     return 1;
   }

@@ -14,7 +14,7 @@
 
 #include "client/client.h"
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "sim/simulator.h"
 
 using namespace keygraphs;
@@ -35,7 +35,8 @@ int main() {
   config.strategy = rekey::StrategyKind::kGroupOriented;
   config.rng_seed = 2026;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   sim::ClientSimulator audience(server, network);
 
   // The broadcaster holds the group key too (it is the server's tree root).
@@ -46,7 +47,7 @@ int main() {
   std::size_t chunk_index = 0;
 
   auto broadcast = [&] {
-    const SymmetricKey group = server.tree().group_key();
+    const SymmetricKey group = server.group_key();
     const std::string content = "frame-" + std::to_string(chunk_index);
     chunks.push_back(Chunk{
         chunk_index, server.epoch(),
@@ -79,7 +80,7 @@ int main() {
   std::printf("pay-per-view: %zu chunks broadcast, %zu current "
               "subscribers\n\n", chunks.size(), audience.member_count());
   std::size_t checked = 0;
-  for (UserId user : server.tree().users()) {
+  for (UserId user : server.shard_view(0)->users()) {
     client::GroupClient& viewer = audience.client(user);
     const auto [from, to] = entitled.at(user);
     for (const Chunk& chunk : chunks) {

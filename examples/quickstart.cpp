@@ -10,7 +10,7 @@
 
 #include "client/client.h"
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "sim/simulator.h"
 
 using namespace keygraphs;
@@ -25,8 +25,9 @@ int main() {
   config.rng_seed = 42;  // deterministic demo
 
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network,
-                                server::AccessControl::allow_all());
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network,
+                                       server::AccessControl::allow_all());
 
   // 2. The client simulator wires GroupClients to the network and drives
   //    the join/leave protocols end to end (with signature verification).
@@ -38,7 +39,7 @@ int main() {
     clients.apply(sim::Request{sim::RequestKind::kJoin, user});
     std::printf("user %llu joined; group key version %u, tree height %zu\n",
                 static_cast<unsigned long long>(user),
-                server.tree().group_key().version, server.tree().height());
+                server.group_key().version, server.shard_view(0)->height());
   }
 
   // 3. Everyone shares the group key: confidential group messaging works.
@@ -57,11 +58,11 @@ int main() {
   eve_config.suite = config.suite;
   eve_config.root = server.root_id();
   client::GroupClient old_member(eve_config, server.public_key());
-  old_member.admit_snapshot(server.tree().keyset(2), server.epoch());
+  old_member.admit_snapshot(server.keyset(2), server.epoch());
 
   clients.apply(sim::Request{sim::RequestKind::kLeave, 2});
   std::printf("user 2 left; group key version is now %u\n",
-              server.tree().group_key().version);
+              server.group_key().version);
 
   const Bytes secret = clients.client(1).seal_application(
       bytes_of("user 2 must not read this"));

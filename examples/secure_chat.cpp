@@ -14,7 +14,7 @@
 #include "client/client.h"
 #include "common/error.h"
 #include "common/io.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "transport/udp.h"
 
 using namespace keygraphs;
@@ -39,16 +39,18 @@ Bytes make_leave_request(UserId user, const server::AuthService& auth) {
       .encode();
 }
 
-/// The server side: one UDP socket, a GroupKeyServer, and a dispatch loop
+/// The server side: one UDP socket, the key server, and a dispatch loop
 /// step that the demo pumps explicitly (a daemon would loop forever).
 class ChatServer {
  public:
-  ChatServer() : transport_(socket_), server_(make_config(), transport_) {}
+  ChatServer()
+      : transport_(socket_),
+        server_(server::ShardedServerConfig{make_config()}, transport_) {}
 
   [[nodiscard]] transport::Address address() const {
     return socket_.local_address();
   }
-  [[nodiscard]] server::GroupKeyServer& core() { return server_; }
+  [[nodiscard]] server::ShardedGroupKeyServer& core() { return server_; }
 
   /// Handles every datagram currently queued on the socket.
   void pump() {
@@ -97,20 +99,20 @@ class ChatServer {
 
   transport::UdpSocket socket_;
   transport::UdpServerTransport transport_;
-  server::GroupKeyServer server_;
+  server::ShardedGroupKeyServer server_;
 };
 
 /// A chat participant: UDP socket + GroupClient.
 class ChatClient {
  public:
   ChatClient(std::string name, UserId user, const ChatServer& server,
-             const server::GroupKeyServer& core)
+             const server::ShardedGroupKeyServer& core)
       : name_(std::move(name)), user_(user), server_address_(server.address()),
         auth_(core.auth()), logic_(make_config(user, core),
                                    core.public_key()) {
     logic_.install_individual_key(SymmetricKey{
         individual_key_id(user), 1,
-        auth_.individual_key(user, core.config().suite.key_size())});
+        auth_.individual_key(user, core.config().base.suite.key_size())});
   }
 
   void request_join() {
@@ -157,10 +159,10 @@ class ChatClient {
 
  private:
   static client::ClientConfig make_config(
-      UserId user, const server::GroupKeyServer& core) {
+      UserId user, const server::ShardedGroupKeyServer& core) {
     client::ClientConfig config;
     config.user = user;
-    config.suite = core.config().suite;
+    config.suite = core.config().base.suite;
     config.root = core.root_id();
     config.verify = true;
     return config;

@@ -436,21 +436,7 @@ TreeViewPtr KeyTree::view() const {
   return view_;
 }
 
-void KeyTree::stamp_next_epoch(std::uint64_t epoch) { stamped_epoch_ = epoch; }
-
-void KeyTree::publish_view() {
-  // Re-label the current state (restore path); no mutation happened, so the
-  // epoch counter only moves if a stamp is pending.
-  view_epoch_ = stamped_epoch_.value_or(view_epoch_);
-  stamped_epoch_.reset();
-  publish(view_epoch_);
-}
-
-void KeyTree::publish_next() {
-  view_epoch_ = stamped_epoch_.value_or(view_epoch_ + 1);
-  stamped_epoch_.reset();
-  publish(view_epoch_);
-}
+void KeyTree::publish_next() { publish(++view_epoch_); }
 
 void KeyTree::publish(std::uint64_t epoch) {
   auto fresh = std::shared_ptr<TreeView>(new TreeView());

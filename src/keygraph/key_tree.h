@@ -176,17 +176,6 @@ class KeyTree {
   /// valid for as long as the caller holds the pointer.
   [[nodiscard]] TreeViewPtr view() const;
 
-  /// Labels the *next* published view with `epoch` instead of the internal
-  /// mutation counter. The group server stamps the about-to-be-advanced
-  /// group epoch here right before mutating, so view epochs always equal
-  /// group epochs. One-shot; overwritten by a subsequent stamp.
-  void stamp_next_epoch(std::uint64_t epoch);
-
-  /// Rebuilds and publishes a view of the current state. Mutations publish
-  /// automatically; this exists for the restore path (re-label a freshly
-  /// deserialized tree with the snapshot's epoch).
-  void publish_view();
-
   /// Structural invariants, asserted by tests after every operation:
   /// child/parent links consistent, arity <= degree, user counts and
   /// subtree heights correct, every live slot reachable exactly once, the
@@ -260,7 +249,7 @@ class KeyTree {
   /// Publishes a view sharing the current pages and swaps it in; refreshes
   /// the tree-shape telemetry gauges.
   void publish(std::uint64_t epoch);
-  /// publish() with the stamped/auto-incremented epoch label.
+  /// publish() labelled with the next mutation count.
   void publish_next();
 
   crypto::SecureRandom& rng_;
@@ -274,7 +263,6 @@ class KeyTree {
   mutable std::mutex view_mutex_;
   TreeViewPtr view_;
   std::uint64_t view_epoch_ = 0;
-  std::optional<std::uint64_t> stamped_epoch_;
 };
 
 }  // namespace keygraphs

@@ -31,8 +31,8 @@ inline constexpr KeyId kShardIdStride = KeyId{1} << 32;
 
 class ShardRouter {
  public:
-  /// `shards` >= 1. One shard routes everything to shard 0 (the unsharded
-  /// compatibility mode).
+  /// `shards` >= 1. One shard routes everything to shard 0 (the paper's
+  /// single key tree).
   explicit ShardRouter(std::size_t shards) : shards_(shards == 0 ? 1 : shards) {}
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_; }
@@ -49,8 +49,9 @@ class ShardRouter {
     return static_cast<std::size_t>(x % shards_);
   }
 
-  /// First internal k-node id for `shard`'s KeyTree (shard 0 keeps the
-  /// unsharded server's id sequence, so K=1 is byte-identical to it).
+  /// First internal k-node id for `shard`'s KeyTree (shard 0 keeps a
+  /// standalone KeyTree's id sequence, so K=1 is the paper's single tree
+  /// byte for byte).
   [[nodiscard]] static KeyId first_id(std::size_t shard) noexcept {
     return static_cast<KeyId>(shard) * kShardIdStride + 1;
   }

@@ -19,6 +19,10 @@ ShardedKeyTree::ShardedKeyTree(int degree, std::size_t key_size,
   }
 }
 
+void ShardedKeyTree::restore_shard(std::size_t index, BytesView bytes) {
+  shards_[index] = KeyTree::deserialize(bytes, *rngs_[index]);
+}
+
 std::size_t ShardedKeyTree::user_count() const {
   std::size_t total = 0;
   for (const auto& tree : shards_) total += tree->view()->user_count();

@@ -9,9 +9,9 @@
 // group key hierarchy lives in server/sharded_server.h; this class is pure
 // keygraph state: routing, per-shard trees, per-shard rngs, aggregates.
 //
-// Seeding: shard 0 consumes the caller's seed exactly like an unsharded
-// KeyTree would (so a K=1 sharded server replays the unsharded rng stream
-// byte for byte); shard i > 0 and derived consumers use seed-mixed streams.
+// Seeding: shard 0 consumes the caller's seed exactly like a standalone
+// KeyTree would (so a K=1 server replays the single-tree rng stream byte
+// for byte); shard i > 0 and derived consumers use seed-mixed streams.
 // A zero seed leaves every shard on OS entropy.
 #pragma once
 
@@ -67,6 +67,12 @@ class ShardedKeyTree {
   [[nodiscard]] crypto::SecureRandom& rng(std::size_t index) {
     return *rngs_[index];
   }
+
+  /// Replaces shard `index` with the tree serialized in `bytes` (snapshot
+  /// restore); later key material still comes from the shard's own rng.
+  /// Throws ParseError, leaving the shard unchanged, on malformed input.
+  /// Not safe while the shard is read or mutated.
+  void restore_shard(std::size_t index, BytesView bytes);
 
   // --- Aggregates across all shards ---------------------------------------
   // These read each shard's published view, never the live tree, so they

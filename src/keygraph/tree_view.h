@@ -270,9 +270,8 @@ class TreeView {
   [[nodiscard]] KeyId root_id() const noexcept {
     return store_.at(store_.root).id;
   }
-  /// The epoch label this view was published under. For a server-owned
-  /// tree this is the group epoch; for a standalone KeyTree it is the
-  /// mutation count.
+  /// The epoch label this view was published under: the tree's mutation
+  /// count, not the key server's group epoch (its root layer keeps that).
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
   // --- Read API (mirrors KeyTree) ----------------------------------------

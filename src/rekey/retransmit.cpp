@@ -8,13 +8,12 @@ namespace keygraphs::rekey {
 RetransmitWindow::RetransmitWindow(std::size_t capacity)
     : capacity_(capacity), ring_(capacity) {}
 
-void RetransmitWindow::record(std::uint64_t epoch, TreeViewPtr view,
+void RetransmitWindow::record(std::uint64_t epoch,
                               std::vector<StoredDatagram> datagrams) {
   if (capacity_ == 0) return;
   Entry& slot = ring_[epoch % capacity_];
   if (slot.epoch != epoch) count_ = std::min(count_ + 1, capacity_);
   slot.epoch = epoch;
-  slot.view = std::move(view);
   slot.datagrams = std::move(datagrams);
   newest_ = std::max(newest_, epoch);
 }
@@ -50,10 +49,9 @@ std::optional<std::vector<BytesView>> RetransmitWindow::collect(
     // dispatch), so a mismatched slot means the gap straddles a hole —
     // e.g. a window resized mid-run. Degrade to resync rather than serve
     // a partial replay the client would mistake for complete.
-    if (entry.epoch != epoch || entry.view == nullptr) return std::nullopt;
+    if (entry.epoch != epoch) return std::nullopt;
     for (const StoredDatagram& stored : entry.datagrams) {
-      if (addressed_to(stored, stored.view ? *stored.view : *entry.view,
-                       user)) {
+      if (addressed_to(stored, *stored.view, user)) {
         out.push_back(BytesView{stored.datagram});
       }
     }

@@ -12,17 +12,17 @@
 //     as they left dispatch (bytes already encrypted, signed and framed).
 //     Serving a NACK is a recipient-filtered memcpy-and-send: no tree
 //     access, no crypto, no re-entry into plan/seal.
-//   - Each entry pins the epoch's TreeView so "was u a recipient of this
-//     subgroup message?" is answered against the membership of *that*
-//     epoch, not the current one. Memory cost is W views plus the sealed
-//     bytes; size the window accordingly (spec key `retransmit_window`).
+//   - Each stored datagram pins the TreeView it was addressed against, so
+//     "was u a recipient of this subgroup message?" is answered against
+//     the membership of *that* epoch, not the current one. Memory cost is
+//     the pinned views plus the sealed bytes; size the window accordingly
+//     (spec key `retransmit_window`).
 //   - RecoveryLimiter is a per-user token bucket over the server's
 //     injected clock: a client stuck in a retry loop (or a burst of
 //     simultaneous victims) drains its own bucket and gets dropped
 //     requests instead of driving the server into a resync storm.
 //
-// Thread safety: none here. GroupKeyServer records and serves under its
-// external serialization; LockedGroupKeyServer routes both through its
+// Thread safety: none here. The key server records and serves under its
 // dispatch mutex.
 #pragma once
 
@@ -36,12 +36,11 @@
 
 namespace keygraphs::rekey {
 
-/// One datagram as it left the server: destination plus framed wire bytes.
-/// `view` optionally pins the membership snapshot this datagram's subgroup
-/// recipient resolves against — the sharded server records one epoch whose
-/// datagrams address different shards, so a single per-epoch view cannot
-/// answer "was u a recipient?" for all of them. Null falls back to the
-/// entry-level view recorded with the epoch (the single-tree server path).
+/// One datagram as it left the server: destination, framed wire bytes, and
+/// the membership snapshot its subgroup recipient resolves against. The
+/// view is per datagram because one epoch's datagrams may address
+/// different shards (the root-layer broadcasts), so no single per-epoch
+/// view could answer "was u a recipient?" for all of them.
 struct StoredDatagram {
   Recipient to;
   Bytes datagram;
@@ -57,8 +56,7 @@ class RetransmitWindow {
   /// Stores one epoch's outbound datagrams. Epochs must be recorded in
   /// increasing order (the dispatch path's epoch order); re-recording an
   /// epoch replaces it.
-  void record(std::uint64_t epoch, TreeViewPtr view,
-              std::vector<StoredDatagram> datagrams);
+  void record(std::uint64_t epoch, std::vector<StoredDatagram> datagrams);
 
   /// The datagrams `user` should have received for every epoch in
   /// (have_epoch, newest], in epoch order. Returns nullopt when any epoch
@@ -84,7 +82,6 @@ class RetransmitWindow {
  private:
   struct Entry {
     std::uint64_t epoch = 0;
-    TreeViewPtr view;
     std::vector<StoredDatagram> datagrams;
   };
 

@@ -2,7 +2,7 @@
 // Keystone system): one service, many secure groups, one individual key
 // per user shared across all of them.
 //
-// Each group runs its own GroupKeyServer over its own multicast domain
+// Each group runs its own key server over its own multicast domain
 // (its own InProcNetwork here; per-group multicast addresses in a real
 // deployment). The shared AuthService gives every user one individual key
 // for the whole service — the merge point of the groups' key trees into a
@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "transport/inproc.h"
 
 namespace keygraphs::server {
@@ -34,12 +34,13 @@ class MultiGroupService {
     config.rng_seed = base_.rng_seed == 0
                           ? 0
                           : base_.rng_seed * 1000003u + id;
-    entry->server = std::make_unique<GroupKeyServer>(config, entry->network);
+    entry->server = std::make_unique<ShardedGroupKeyServer>(
+        ShardedServerConfig{config}, entry->network);
     groups_.emplace(id, std::move(entry));
     return id;
   }
 
-  [[nodiscard]] GroupKeyServer& server(GroupId group) {
+  [[nodiscard]] ShardedGroupKeyServer& server(GroupId group) {
     return *entry(group).server;
   }
   [[nodiscard]] transport::InProcNetwork& network(GroupId group) {
@@ -57,7 +58,7 @@ class MultiGroupService {
   [[nodiscard]] std::vector<GroupId> groups_of(UserId user) const {
     std::vector<GroupId> out;
     for (const auto& [id, entry] : groups_) {
-      if (entry->server->tree_view()->has_user(user)) out.push_back(id);
+      if (entry->server->has_member(user)) out.push_back(id);
     }
     return out;
   }
@@ -67,7 +68,7 @@ class MultiGroupService {
  private:
   struct Entry {
     transport::InProcNetwork network;
-    std::unique_ptr<GroupKeyServer> server;
+    std::unique_ptr<ShardedGroupKeyServer> server;
   };
 
   Entry& entry(GroupId group) {

@@ -6,12 +6,11 @@
 // the server a bounded answer to a flash crowd or mass eviction instead of
 // unbounded queueing on the plan mutex:
 //
-//   AdmissionController — per-lane token-bucket admission (a lane is a
-//     shard under ShardedGroupKeyServer, the whole server otherwise) with
-//     a bounded coalesce queue and a per-lane circuit breaker, so one slow
-//     shard sheds without stalling its siblings. Requests past the bound
-//     are shed with a retry-after hint, answered on the wire with
-//     kRetryLater.
+//   AdmissionController — per-lane token-bucket admission (a lane is one
+//     shard of the key server) with a bounded coalesce queue and a
+//     per-lane circuit breaker, so one slow shard sheds without stalling
+//     its siblings. Requests past the bound are shed with a retry-after
+//     hint, answered on the wire with kRetryLater.
 //
 //   HealthMonitor — healthy → degraded → shedding state machine driven by
 //     queue depth, seal-stage latency, convergence-SLO pressure, and shed

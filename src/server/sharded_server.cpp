@@ -7,12 +7,17 @@
 #include <utility>
 
 #include "common/error.h"
-#include "crypto/random.h"
+#include "common/io.h"
 #include "crypto/sha256.h"
 #include "rekey/batch.h"
 #include "telemetry/convergence.h"
+#include "telemetry/stage.h"
 
 namespace keygraphs::server {
+
+using telemetry::Stage;
+using telemetry::StageCollector;
+using telemetry::StageScope;
 
 namespace {
 
@@ -21,7 +26,7 @@ namespace {
 constexpr std::uint64_t kRootRngLane = 999983;
 
 /// The journal's commit digest: sha256 over the concatenated sealed wire
-/// bytes, in message order (same formula as the unsharded server's).
+/// bytes, in message order — the replay-divergence check value.
 Bytes sealed_digest(const std::vector<rekey::SealedRekey>& sealed) {
   crypto::Sha256 digest;
   for (const rekey::SealedRekey& message : sealed) {
@@ -30,8 +35,17 @@ Bytes sealed_digest(const std::vector<rekey::SealedRekey>& sealed) {
   return digest.finish();
 }
 
+/// The single-shard snapshot format: u64 epoch ‖ var_bytes(tree).
+Bytes encode_snapshot(std::uint64_t epoch, const TreeView& view) {
+  ByteWriter writer;
+  writer.u64(epoch);
+  writer.var_bytes(view.serialize());
+  return writer.take();
+}
+
 /// Saves and force-sets a flag for one scope (exception-safe), restoring
-/// the caller's value on exit.
+/// the caller's value on exit — the standby keeps replaying_ latched
+/// across many replay_record calls.
 class ScopedFlag {
  public:
   explicit ScopedFlag(bool& flag) : flag_(flag), saved_(flag) { flag_ = true; }
@@ -42,6 +56,21 @@ class ScopedFlag {
  private:
   bool& flag_;
   bool saved_;
+};
+
+/// Binds an operation's trace context to the calling thread and times one
+/// rekey.* span under it; only the binding when the operation is
+/// untraced.
+class PhaseSpan {
+ public:
+  PhaseSpan(const telemetry::TraceContext& trace, const char* name)
+      : binding_(trace, telemetry::kServerProcess) {
+    if (trace.active()) span_.emplace(name);
+  }
+
+ private:
+  telemetry::TraceBinding binding_;
+  std::optional<telemetry::ScopedSpan> span_;
 };
 
 telemetry::Gauge* lane_gauge(std::size_t shard, const char* what) {
@@ -122,23 +151,7 @@ ShardedGroupKeyServer::ShardedGroupKeyServer(
     group_secret_ = root_rng_.bytes(base.suite.key_size());
     group_version_ = 0;
   }
-
-  if (base.signing == rekey::SigningMode::kPerMessage ||
-      base.signing == rekey::SigningMode::kBatch) {
-    if (!base.suite.signs()) {
-      throw ProtocolError("server: signing mode set but suite has no RSA");
-    }
-    // K = 1 draws the signer from the lane-0 rng *after* the tree root,
-    // matching GroupKeyServer's construction order exactly (same stream,
-    // same key, byte-identical signatures).
-    crypto::SecureRandom& signer_rng =
-        shards == 1 ? tree_->rng(0) : root_rng_;
-    signer_ = std::make_unique<crypto::RsaPrivateKey>(
-        crypto::RsaPrivateKey::generate(
-            signer_rng, crypto::signature_modulus_bits(base.suite.signature)));
-  }
-  sealer_ = std::make_unique<rekey::RekeySealer>(
-      base.signing, base.suite.signing_digest(), signer_.get());
+  set_signing_mode(base.signing);
 
   // One admission lane per shard, so a flash crowd (or slow seal) in one
   // shard sheds there while its siblings keep admitting.
@@ -148,7 +161,7 @@ ShardedGroupKeyServer::ShardedGroupKeyServer(
   buffers_.resize(shards);
 
   // One journal lane per shard: lanes append independently under their
-  // dispatch tickets, and the global commit sequence (assigned inside
+  // dispatch order, and the global commit sequence (assigned inside
   // DurableStore::append) stitches them back into total order at recovery.
   if (base.storage.enabled()) {
     durable_ = std::make_unique<storage::DurableStore>(
@@ -160,7 +173,9 @@ ShardedGroupKeyServer::ShardedGroupKeyServer(
 ShardedGroupKeyServer::~ShardedGroupKeyServer() = default;
 
 std::uint64_t ShardedGroupKeyServer::now_us() const {
-  if (replaying_) return pinned_clock_us_;  // journal replay pins the clock
+  // Replay pins the clock to the journaled timestamp: signatures cover it,
+  // so reproducing the original sealed bytes requires the original time.
+  if (replaying_) return pinned_clock_us_;
   if (config_.base.clock_us) return config_.base.clock_us();
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -168,8 +183,49 @@ std::uint64_t ShardedGroupKeyServer::now_us() const {
           .count());
 }
 
+void ShardedGroupKeyServer::set_signing_mode(rekey::SigningMode mode) {
+  const ServerConfig& base = config_.base;
+  if (mode == rekey::SigningMode::kPerMessage ||
+      mode == rekey::SigningMode::kBatch) {
+    if (!base.suite.signs()) {
+      throw ProtocolError("server: signing mode set but suite has no RSA");
+    }
+    if (!signer_) {
+      // K = 1 draws the signer from the lane-0 rng, right after the tree
+      // root's key (the paper's single-tree stream); K > 1 from the root
+      // layer's stream, after G.
+      crypto::SecureRandom& signer_rng =
+          shard_count() == 1 ? tree_->rng(0) : root_rng_;
+      signer_ = std::make_unique<crypto::RsaPrivateKey>(
+          crypto::RsaPrivateKey::generate(
+              signer_rng,
+              crypto::signature_modulus_bits(base.suite.signature)));
+    }
+  }
+  config_.base.signing = mode;
+  sealer_ = std::make_unique<rekey::RekeySealer>(
+      mode, base.suite.signing_digest(), signer_.get());
+}
+
+void ShardedGroupKeyServer::begin_trace(Pending& pending,
+                                        rekey::RekeyKind kind) const {
+  // Replayed operations are reconstructions, not live traffic; emitting
+  // spans for them would double-count the original dispatch.
+  if (replaying_) return;
+  if (!config_.base.trace_propagation || !telemetry::enabled()) return;
+  pending.trace.trace_id = telemetry::next_trace_id();
+  pending.trace.op_kind = static_cast<std::uint8_t>(kind);
+}
+
 SymmetricKey ShardedGroupKeyServer::shared_key_locked() const {
   return SymmetricKey{kSharedGroupKeyId, group_version_, group_secret_};
+}
+
+void ShardedGroupKeyServer::require_single_shard(const char* what) const {
+  if (shard_count() != 1) {
+    throw ProtocolError(std::string(what) +
+                        ": snapshots exist only for a single-shard server");
+  }
 }
 
 // --- Planning -----------------------------------------------------------
@@ -177,36 +233,41 @@ SymmetricKey ShardedGroupKeyServer::shared_key_locked() const {
 JoinResult ShardedGroupKeyServer::plan_join_locked(UserId user,
                                                    std::size_t shard,
                                                    Pending& pending) {
-  if (!acl_.authorizes(user)) return JoinResult::kDenied;
   KeyTree& tree = tree_->shard(shard);
-  if (tree.has_user(user)) return JoinResult::kDuplicate;
-  Bytes individual_key =
-      auth_.individual_key(user, config_.base.suite.key_size());
+  Bytes individual_key;
+  {
+    // Authentication/admission is excluded from the measured processing
+    // time, as in the paper, but attributed to the auth stage; the
+    // individual key is the session key that exchange produced.
+    const StageScope scope(Stage::kAuth);
+    if (!acl_.authorizes(user)) return JoinResult::kDenied;
+    if (tree.has_user(user)) return JoinResult::kDuplicate;
+    individual_key = auth_.individual_key(user, config_.base.suite.key_size());
+  }
 
-  // Journal tape: every lane-rng byte the mutation + plan draw below.
-  // (Root-layer draws are captured separately inside stitch.)
+  // Journal tape: every lane-rng byte the mutation + plan draw below (the
+  // tape is what makes a replay byte-identical on any replica). Root-layer
+  // draws are captured separately inside stitch.
   std::optional<crypto::RngCapture> capture;
   if (durable_ != nullptr && !replaying_) capture.emplace(tree_->rng(shard));
+  begin_trace(pending, rekey::RekeyKind::kJoin);
+  const PhaseSpan span(pending.trace, "rekey.plan");
   pending.started = std::chrono::steady_clock::now();
-  const JoinRecord record = tree.join(user, std::move(individual_key));
+  std::optional<JoinRecord> record;
+  {
+    const StageScope scope(Stage::kTreeUpdate);  // keygen nests inside
+    record.emplace(tree.join(user, std::move(individual_key)));
+  }
   const TreeViewPtr view = tree.view();
   rekey::RekeyPlanner planner(config_.base.suite.cipher, tree_->rng(shard),
                               view);
-  std::vector<rekey::PlannedRekey> messages =
-      strategy_->plan_join(record, planner);
-  stitch(pending, shard, view, planner, std::move(messages),
-         rekey::RekeyKind::kJoin, rekey::RekeyKind::kJoin,
-         record.removed_nodes);
-  if (capture) {
-    pending.commit = std::make_unique<storage::JournalRecord>();
-    pending.commit->kind = storage::OpKind::kJoin;
-    pending.commit->epoch = pending.epoch;
-    pending.commit->shard = static_cast<std::uint32_t>(shard);
-    pending.commit->timestamp_us = pending.timestamp_us;
-    pending.commit->joins.push_back(user);
-    pending.commit->rng_tape = capture->take();
-    pending.commit->root_tape = std::move(pending.root_tape);
+  {
+    const StageScope scope(Stage::kEncrypt);  // wraps, IV draws, stitch
+    stitch(pending, shard, view, planner,
+           strategy_->plan_join(*record, planner), rekey::RekeyKind::kJoin,
+           record->removed_nodes);
   }
+  journal(pending, storage::OpKind::kJoin, capture, {user}, {});
   return JoinResult::kGranted;
 }
 
@@ -215,26 +276,27 @@ void ShardedGroupKeyServer::plan_leave_locked(UserId user, std::size_t shard,
   KeyTree& tree = tree_->shard(shard);
   std::optional<crypto::RngCapture> capture;
   if (durable_ != nullptr && !replaying_) capture.emplace(tree_->rng(shard));
+  begin_trace(pending, rekey::RekeyKind::kLeave);
+  const PhaseSpan span(pending.trace, "rekey.plan");
   pending.started = std::chrono::steady_clock::now();
-  const LeaveRecord record = tree.leave(user);  // throws for non-members
+  std::optional<LeaveRecord> record;
+  {
+    const StageScope scope(Stage::kTreeUpdate);
+    record.emplace(tree.leave(user));  // throws for non-members
+  }
   const TreeViewPtr view = tree.view();
   rekey::RekeyPlanner planner(config_.base.suite.cipher, tree_->rng(shard),
                               view);
-  std::vector<rekey::PlannedRekey> messages =
-      strategy_->plan_leave(record, planner);
-  stitch(pending, shard, view, planner, std::move(messages),
-         rekey::RekeyKind::kLeave, rekey::RekeyKind::kLeave,
-         record.removed_nodes);
-  if (capture) {
-    pending.commit = std::make_unique<storage::JournalRecord>();
-    pending.commit->kind = storage::OpKind::kLeave;
-    pending.commit->epoch = pending.epoch;
-    pending.commit->shard = static_cast<std::uint32_t>(shard);
-    pending.commit->timestamp_us = pending.timestamp_us;
-    pending.commit->leaves.push_back(user);
-    pending.commit->rng_tape = capture->take();
-    pending.commit->root_tape = std::move(pending.root_tape);
+  {
+    const StageScope scope(Stage::kEncrypt);
+    stitch(pending, shard, view, planner,
+           strategy_->plan_leave(*record, planner), rekey::RekeyKind::kLeave,
+           record->removed_nodes);
   }
+  journal(pending, storage::OpKind::kLeave, capture, {}, {user});
+  // A departed member no longer owes convergence; drop its lag gauge.
+  // Replay skips this: the monitor belongs to the live timeline (an
+  // in-process standby shares it with the primary).
   if (telemetry::enabled() && !replaying_) {
     telemetry::ConvergenceMonitor::global().forget_user(user);
   }
@@ -246,37 +308,39 @@ std::vector<UserId> ShardedGroupKeyServer::plan_batch_locked(
   KeyTree& tree = tree_->shard(shard);
   std::vector<std::pair<UserId, Bytes>> joins;
   std::vector<UserId> admitted;
-  for (UserId user : join_users) {
-    if (!acl_.authorizes(user) || tree.has_user(user)) continue;
-    joins.emplace_back(user,
-                       auth_.individual_key(user, config_.base.suite.key_size()));
-    admitted.push_back(user);
+  {
+    const StageScope scope(Stage::kAuth);
+    for (UserId user : join_users) {
+      if (!acl_.authorizes(user) || tree.has_user(user)) continue;
+      joins.emplace_back(
+          user, auth_.individual_key(user, config_.base.suite.key_size()));
+      admitted.push_back(user);
+    }
   }
   // Entirely filtered out and nothing to remove: no mutation, no epoch.
   if (joins.empty() && leave_users.empty()) return admitted;
 
   std::optional<crypto::RngCapture> capture;
   if (durable_ != nullptr && !replaying_) capture.emplace(tree_->rng(shard));
+  begin_trace(pending, rekey::RekeyKind::kBatch);
+  const PhaseSpan span(pending.trace, "rekey.plan");
   pending.started = std::chrono::steady_clock::now();
-  const BatchRecord record = tree.batch_update(joins, leave_users);
+  std::optional<BatchRecord> record;
+  {
+    const StageScope scope(Stage::kTreeUpdate);
+    record.emplace(tree.batch_update(joins, leave_users));
+  }
   const TreeViewPtr view = tree.view();
   rekey::RekeyPlanner planner(config_.base.suite.cipher, tree_->rng(shard),
                               view);
-  std::vector<rekey::PlannedRekey> messages = rekey::plan_batch(record, planner);
-  stitch(pending, shard, view, planner, std::move(messages),
-         rekey::RekeyKind::kBatch, rekey::RekeyKind::kBatch,
-         record.removed_nodes);
-  if (capture) {
-    pending.commit = std::make_unique<storage::JournalRecord>();
-    pending.commit->kind = storage::OpKind::kBatch;
-    pending.commit->epoch = pending.epoch;
-    pending.commit->shard = static_cast<std::uint32_t>(shard);
-    pending.commit->timestamp_us = pending.timestamp_us;
-    pending.commit->joins = admitted;  // post-ACL, pre-mutation order
-    pending.commit->leaves = leave_users;
-    pending.commit->rng_tape = capture->take();
-    pending.commit->root_tape = std::move(pending.root_tape);
+  {
+    const StageScope scope(Stage::kEncrypt);
+    stitch(pending, shard, view, planner, rekey::plan_batch(*record, planner),
+           rekey::RekeyKind::kBatch, record->removed_nodes);
   }
+  // The journal stores the *admitted* joiners, not the requested list:
+  // replay re-admits exactly these and checks it got the same answer.
+  journal(pending, storage::OpKind::kBatch, capture, admitted, leave_users);
   if (telemetry::enabled() && !replaying_) {
     for (const UserId leaver : leave_users) {
       telemetry::ConvergenceMonitor::global().forget_user(leaver);
@@ -285,12 +349,27 @@ std::vector<UserId> ShardedGroupKeyServer::plan_batch_locked(
   return admitted;
 }
 
+void ShardedGroupKeyServer::journal(Pending& pending, storage::OpKind kind,
+                                    std::optional<crypto::RngCapture>& capture,
+                                    std::vector<UserId> joins,
+                                    std::vector<UserId> leaves) {
+  if (!capture) return;
+  pending.commit = std::make_unique<storage::JournalRecord>();
+  pending.commit->kind = kind;
+  pending.commit->epoch = pending.epoch;
+  pending.commit->shard = static_cast<std::uint32_t>(pending.shard);
+  pending.commit->timestamp_us = pending.timestamp_us;
+  pending.commit->joins = std::move(joins);
+  pending.commit->leaves = std::move(leaves);
+  pending.commit->rng_tape = capture->take();
+  pending.commit->root_tape = std::move(pending.root_tape);
+}
+
 void ShardedGroupKeyServer::stitch(Pending& pending, std::size_t shard,
                                    TreeViewPtr view,
                                    rekey::RekeyPlanner& planner,
                                    std::vector<rekey::PlannedRekey> messages,
-                                   rekey::RekeyKind op_kind,
-                                   rekey::RekeyKind wire_kind,
+                                   rekey::RekeyKind kind,
                                    const std::vector<KeyId>& obsolete) {
   const std::size_t shards = shard_count();
   const std::size_t block = crypto::cipher_block_size(config_.base.suite.cipher);
@@ -370,16 +449,14 @@ void ShardedGroupKeyServer::stitch(Pending& pending, std::size_t shard,
     pending.shard = shard;
     pending.fleet = fleet;
     pending.lane_view = view;
-    if (config_.base.trace_propagation && telemetry::enabled()) {
-      pending.trace_id = telemetry::next_trace_id();
-    }
+    if (pending.trace.active()) pending.trace.epoch = pending.epoch;
     const std::uint64_t timestamp = now_us();
     pending.timestamp_us = timestamp;
     for (rekey::PlannedRekey& message : pending.plan.messages) {
       message.header.group = config_.base.group;
       message.header.epoch = pending.epoch;
       message.header.timestamp_us = timestamp;
-      message.header.kind = wire_kind;
+      message.header.kind = kind;
       message.header.obsolete = obsolete;
     }
     pending.views.assign(lane_messages, view);
@@ -426,63 +503,18 @@ void ShardedGroupKeyServer::stitch(Pending& pending, std::size_t shard,
         update.header.group = config_.base.group;
         update.header.epoch = pending.epoch;
         update.header.timestamp_us = timestamp;
-        update.header.kind = wire_kind;
+        update.header.kind = kind;
         update.header.strategy = config_.base.strategy;
         update.ops.push_back(op_index);
         pending.plan.messages.push_back(std::move(update));
         pending.views.push_back(std::move(b.view));
       }
     }
-    pending.op.kind = op_kind;
+    pending.op.kind = kind;
     pending.op.key_encryptions = pending.plan.key_encryptions;
   } catch (...) {
     retire(pending.epoch);
     throw;
-  }
-}
-
-void ShardedGroupKeyServer::plan_resync(UserId user, Pending& pending) {
-  const std::size_t shard = tree_->shard_of(user);
-  pending.shard = shard;
-  pending.started = std::chrono::steady_clock::now();
-  const TreeViewPtr view = tree_->shard(shard).view();
-  const std::vector<SymmetricKey> keys =
-      view->keyset(user);  // throws for non-members
-  std::optional<SymmetricKey> shared;
-  {
-    const std::lock_guard<std::mutex> lock(root_mutex_);
-    pending.epoch = epoch_;
-    if (shard_count() > 1) shared = shared_key_locked();
-  }
-  rekey::RekeyPlanner planner(config_.base.suite.cipher, tree_->rng(shard),
-                              view);
-  rekey::PlannedRekey welcome;
-  welcome.header.group = config_.base.group;
-  welcome.header.epoch = pending.epoch;
-  welcome.header.timestamp_us = now_us();
-  // Welcome-shaped on the wire (kJoin); only the OpRecord says kResync —
-  // same contract as the single-tree server.
-  welcome.header.kind = rekey::RekeyKind::kJoin;
-  welcome.header.strategy = config_.base.strategy;
-  std::vector<SymmetricKey> path(keys.begin() + (keys.empty() ? 0 : 1),
-                                 keys.end());
-  if (shared) path.push_back(*shared);
-  if (!keys.empty() && !path.empty()) {
-    welcome.ops.push_back(planner.wrap(keys.front(), path));
-  }
-  welcome.to = rekey::Recipient::to_user(user);
-  std::vector<rekey::PlannedRekey> messages;
-  messages.push_back(std::move(welcome));
-  pending.plan = planner.take(std::move(messages));
-  pending.views.assign(1, view);
-  pending.lane_view = view;
-  pending.op.kind = rekey::RekeyKind::kResync;
-  pending.op.key_encryptions = pending.plan.key_encryptions;
-  pending.epoch = 0;  // unsequenced: dispatches directly
-  if (telemetry::enabled()) {
-    static auto& resyncs =
-        telemetry::Registry::global().counter("server.resyncs");
-    resyncs.add(1);
   }
 }
 
@@ -496,11 +528,13 @@ void ShardedGroupKeyServer::retire(std::uint64_t epoch) {
 }
 
 void ShardedGroupKeyServer::seal_and_dispatch(Lane& lane, Pending&& pending) {
+  const bool sequenced = pending.op.kind != rekey::RekeyKind::kResync;
   const auto seal_started = std::chrono::steady_clock::now();
   try {
+    const PhaseSpan span(pending.trace, "rekey.seal");
     pending.sealed = lane.executor->seal(pending.plan, *sealer_);
   } catch (...) {
-    if (pending.epoch != 0) retire(pending.epoch);
+    if (sequenced) retire(pending.epoch);
     throw;
   }
   const double seal_us =
@@ -515,7 +549,7 @@ void ShardedGroupKeyServer::seal_and_dispatch(Lane& lane, Pending&& pending) {
     gate_->note_seal(pending.shard, sample, now_us());
   }
 
-  if (pending.epoch == 0) {
+  if (!sequenced) {
     // Resync: not part of the stitched epoch stream; deliver whenever the
     // dispatch lock is free.
     const std::lock_guard<std::mutex> lock(dispatch_mutex_);
@@ -538,71 +572,92 @@ void ShardedGroupKeyServer::seal_and_dispatch(Lane& lane, Pending&& pending) {
 
 void ShardedGroupKeyServer::dispatch_locked(Lane& lane, Pending& pending,
                                             double seal_us) {
+  const PhaseSpan span(pending.trace, "rekey.dispatch");
   OpRecord op = pending.op;
   op.signatures = sealer_->signatures_for(pending.sealed.size());
   op.messages = pending.sealed.size();
   op.min_message = std::numeric_limits<std::size_t>::max();
   const bool resync = op.kind == rekey::RekeyKind::kResync;
+  // Epoch-advancing operations park their framed datagrams in the
+  // retransmit window so a later NACK replays these exact bytes. Resyncs
+  // are excluded: they re-stamp the current epoch and would collide with
+  // the real rekey recorded under that number.
   const bool remember =
       retransmit_.enabled() && !resync && !pending.plan.messages.empty();
-  std::vector<rekey::StoredDatagram> stored;
-  if (remember) stored.reserve(pending.sealed.size());
   // Write-ahead commit: the record (with its sealed digest) is durable on
-  // this shard's lane before any datagram leaves or the dispatch ticket is
-  // released. Tickets are held in epoch order, so the global commit
-  // sequence the append assigns is in epoch order too.
+  // this shard's lane before any datagram leaves or the next epoch
+  // dispatches, so the global commit sequence the append assigns is in
+  // epoch order. A crash before this line means no client saw the epoch.
   if (durable_ != nullptr && pending.commit != nullptr) {
     pending.commit->sealed_digest = sealed_digest(pending.sealed);
     durable_->append(*pending.commit);
   }
+  // The publish timestamp for fleet convergence: recorded before the first
+  // delivery, because in-process transports apply on the client inside
+  // deliver() and an apply must never precede its publish. Resyncs replay
+  // an already-published epoch, so they never re-publish it.
   if (telemetry::enabled() && !resync && !pending.plan.messages.empty()) {
     telemetry::ConvergenceMonitor::global().note_publish(
         pending.epoch, now_us() * 1000, pending.fleet);
   }
   std::optional<rekey::TraceExtension> extension;
-  if (pending.trace_id != 0) {
-    extension =
-        rekey::TraceExtension{pending.trace_id, pending.epoch,
-                              static_cast<std::uint8_t>(op.kind)};
+  if (pending.trace.active()) {
+    extension = rekey::TraceExtension{
+        pending.trace.trace_id, pending.trace.epoch, pending.trace.op_kind};
   }
-  // Frame the whole burst, then deliver it through one deliver_many call
-  // (gather-capable transports batch the syscalls; the default loops
-  // deliver() in the same order as before).
+  // Frame the whole burst, then deliver it through one deliver_many call:
+  // gather-capable transports (UDP sendmmsg) amortize the per-datagram
+  // syscall across the burst, and the default loops deliver() in order.
   std::vector<Bytes> datagrams(pending.sealed.size());
-  std::vector<transport::ServerTransport::OutboundDatagram> items;
-  items.reserve(pending.sealed.size());
-  for (std::size_t i = 0; i < pending.sealed.size(); ++i) {
-    datagrams[i] = rekey::Datagram{rekey::MessageType::kRekey,
-                                   pending.sealed[i].wire, extension}
-                       .encode();
-    op.bytes += datagrams[i].size();
-    op.min_message = std::min(op.min_message, datagrams[i].size());
-    op.max_message = std::max(op.max_message, datagrams[i].size());
-    const rekey::Recipient to = pending.sealed[i].to;
-    const TreeViewPtr& view = pending.views[i];
-    items.push_back({to, datagrams[i], [view, to] {
-                       return to.kind == rekey::Recipient::Kind::kUser
-                                  ? std::vector<UserId>{to.user}
-                                  : view->resolve_subgroup(to.include,
-                                                           to.exclude);
-                     }});
-  }
-  transport_.deliver_many(items);
-  if (remember) {
+  {
+    const StageScope scope(Stage::kSerialize);
     for (std::size_t i = 0; i < pending.sealed.size(); ++i) {
-      // Pin the per-datagram view: broadcasts address other shards, so the
-      // entry-level (lane) view cannot answer their recipient filters.
+      datagrams[i] = rekey::Datagram{rekey::MessageType::kRekey,
+                                     pending.sealed[i].wire, extension}
+                         .encode();
+      op.bytes += datagrams[i].size();
+      op.min_message = std::min(op.min_message, datagrams[i].size());
+      op.max_message = std::max(op.max_message, datagrams[i].size());
+    }
+  }
+  {
+    const StageScope scope(Stage::kSend);
+    std::vector<transport::ServerTransport::OutboundDatagram> items;
+    items.reserve(pending.sealed.size());
+    for (std::size_t i = 0; i < pending.sealed.size(); ++i) {
+      const rekey::Recipient to = pending.sealed[i].to;
+      // Resolve fan-out on the plan-time view: immune to mutations that
+      // land between plan and dispatch.
+      const TreeViewPtr& view = pending.views[i];
+      items.push_back({to, datagrams[i], [view, to] {
+                         return to.kind == rekey::Recipient::Kind::kUser
+                                    ? std::vector<UserId>{to.user}
+                                    : view->resolve_subgroup(to.include,
+                                                             to.exclude);
+                       }});
+    }
+    transport_.deliver_many(items);
+  }
+  if (remember) {
+    // Pin the per-datagram view: broadcasts address other shards, so one
+    // view per epoch cannot answer their recipient filters.
+    std::vector<rekey::StoredDatagram> stored;
+    stored.reserve(pending.sealed.size());
+    for (std::size_t i = 0; i < pending.sealed.size(); ++i) {
       stored.push_back(rekey::StoredDatagram{
           pending.sealed[i].to, std::move(datagrams[i]), pending.views[i]});
     }
-  }
-  if (remember) {
-    retransmit_.record(pending.epoch, pending.lane_view, std::move(stored));
+    retransmit_.record(pending.epoch, std::move(stored));
   }
   if (op.messages == 0) op.min_message = 0;
   op.processing_us = std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - pending.started)
                          .count();
+  // The entry call's collector has seen every stage of this operation:
+  // plan, seal and dispatch all ran on this thread.
+  if (const StageCollector* stages = StageCollector::current()) {
+    op.stage_us = stages->breakdown();
+  }
   stats_.record(op);
   if (telemetry::enabled() && !resync) {
     lane.users->set(
@@ -613,6 +668,14 @@ void ShardedGroupKeyServer::dispatch_locked(Lane& lane, Pending& pending,
     fleet_epoch_->set(static_cast<std::int64_t>(pending.epoch));
     fleet_seal_us_->set(static_cast<std::int64_t>(seal_us));
   }
+  // Periodic compaction (single-lane journals only, so K = 1), keyed off
+  // this op's own epoch and view so the snapshot matches the last
+  // journaled record even when a later plan has already moved the tree.
+  if (durable_ != nullptr && pending.commit != nullptr &&
+      durable_->snapshot_due()) {
+    durable_->compact(pending.epoch,
+                      encode_snapshot(pending.epoch, *pending.lane_view));
+  }
 }
 
 // --- Membership entry points --------------------------------------------
@@ -620,6 +683,7 @@ void ShardedGroupKeyServer::dispatch_locked(Lane& lane, Pending& pending,
 JoinResult ShardedGroupKeyServer::join(UserId user) {
   const std::size_t shard = tree_->shard_of(user);
   Lane& lane = *lanes_[shard];
+  const StageCollector stages;
   Pending pending;
   {
     const std::lock_guard<std::mutex> lock(lane.mutex);
@@ -643,22 +707,30 @@ JoinResult ShardedGroupKeyServer::join_with_token(UserId user,
   return join(user);
 }
 
-void ShardedGroupKeyServer::leave(UserId user) {
+bool ShardedGroupKeyServer::try_leave(UserId user) {
   const std::size_t shard = tree_->shard_of(user);
   Lane& lane = *lanes_[shard];
+  const StageCollector stages;
   Pending pending;
   {
+    // Checked under the lane mutex: of two racing leaves, the loser sees
+    // the winner's mutation and answers false instead of throwing.
     const std::lock_guard<std::mutex> lock(lane.mutex);
+    if (!tree_->shard(shard).has_user(user)) return false;
     plan_leave_locked(user, shard, pending);
   }
   seal_and_dispatch(lane, std::move(pending));
+  return true;
+}
+
+void ShardedGroupKeyServer::leave(UserId user) {
+  if (!try_leave(user)) {
+    throw ProtocolError("leave from non-member user " + std::to_string(user));
+  }
 }
 
 bool ShardedGroupKeyServer::leave_with_token(UserId user, BytesView token) {
-  if (!auth_.verify_leave_token(user, token)) return false;
-  if (!tree_->has_user(user)) return false;
-  leave(user);
-  return true;
+  return auth_.verify_leave_token(user, token) && try_leave(user);
 }
 
 std::vector<UserId> ShardedGroupKeyServer::batch(
@@ -679,6 +751,7 @@ std::vector<UserId> ShardedGroupKeyServer::batch(
       continue;
     }
     Lane& lane = *lanes_[shard];
+    const StageCollector stages;  // one operation (and OpRecord) per shard
     Pending pending;
     std::vector<UserId> shard_admitted;
     {
@@ -698,6 +771,8 @@ std::vector<UserId> ShardedGroupKeyServer::batch(
 GateResult ShardedGroupKeyServer::offer_join(UserId user, BytesView token) {
   GateResult result;
   if (!config_.base.overload.enabled) return result;  // kAdmit: normal path
+  // Validate before consuming any admission budget: a forged token or an
+  // ACL reject must never shed (or displace) honest work.
   if (!auth_.verify_join_token(user, token) || !acl_.authorizes(user)) {
     result.denied = true;
     return result;
@@ -709,7 +784,9 @@ GateResult ShardedGroupKeyServer::offer_join(UserId user, BytesView token) {
       result.action = overload::Admission::kCoalesce;  // idempotent dup
       return result;
     }
-    result.action = overload::Admission::kShed;  // leave buffered: retry
+    // Join while this user's leave is buffered: a rejoin needs fresh keys
+    // *after* the departure rekey, so shed it past the next flush.
+    result.action = overload::Admission::kShed;
     result.retry_after_us = config_.base.overload.degraded_batch_period_us;
     return result;
   }
@@ -739,12 +816,14 @@ GateResult ShardedGroupKeyServer::offer_leave(UserId user, BytesView token) {
       result.action = overload::Admission::kCoalesce;
       return result;
     }
-    result.action = overload::Admission::kShed;  // join buffered: retry
+    // Leave while the user's join is still buffered: after the flush the
+    // user is a member and the retried leave succeeds.
+    result.action = overload::Admission::kShed;
     result.retry_after_us = config_.base.overload.degraded_batch_period_us;
     return result;
   }
   if (!has_member(user)) {
-    result.denied = true;
+    result.denied = true;  // matches leave_with_token's non-member answer
     return result;
   }
   const overload::Decision decision =
@@ -796,6 +875,8 @@ OverloadTick ShardedGroupKeyServer::poll_overload() {
     const std::uint64_t period = config_.base.overload.degraded_batch_period_us;
     for (std::size_t shard = 0; shard < buffers_.size(); ++shard) {
       ShardBuffer& buffer = buffers_[shard];
+      // Filter against live membership: a direct join may have raced the
+      // buffer (e.g. a resumed client went around the gate).
       for (const CoalescedOp& op : buffer.joins) {
         if (expired(op)) {
           tick.shed.push_back({op.user, true, period});
@@ -829,18 +910,85 @@ OverloadTick ShardedGroupKeyServer::poll_overload() {
 
 // --- Recovery -----------------------------------------------------------
 
-void ShardedGroupKeyServer::resync(UserId user) {
+ShardedGroupKeyServer::ShardState ShardedGroupKeyServer::shard_state(
+    std::size_t shard) const {
+  ShardState state;
+  const std::lock_guard<std::mutex> lock(root_mutex_);
+  state.view = shard_views_[shard];
+  state.epoch = epoch_;
+  if (shard_count() > 1) state.shared = shared_key_locked();
+  return state;
+}
+
+bool ShardedGroupKeyServer::try_resync(UserId user, std::size_t shard,
+                                       const ShardState& state) {
+  if (!state.view->has_user(user)) return false;
+  const StageCollector stages;
   Pending pending;
-  plan_resync(user, pending);
-  Lane& lane = *lanes_[pending.shard];
-  seal_and_dispatch(lane, std::move(pending));
+  {
+    begin_trace(pending, rekey::RekeyKind::kResync);
+    const PhaseSpan span(pending.trace, "rekey.plan");
+    pending.started = std::chrono::steady_clock::now();
+    // The whole plan runs on the view that answered the membership check:
+    // no tree access and no lane lock, so it completes while a writer is
+    // parked mid-plan, and a concurrent leave cannot pull the user out
+    // from under it.
+    std::vector<SymmetricKey> keys;
+    {
+      const StageScope scope(Stage::kTreeUpdate);  // view read, no mutation
+      keys = state.view->keyset(user);
+    }
+    rekey::RekeyPlanner planner(config_.base.suite.cipher, tree_->rng(shard),
+                                state.view);
+    std::vector<rekey::PlannedRekey> messages;
+    {
+      const StageScope scope(Stage::kEncrypt);
+      rekey::PlannedRekey welcome;
+      welcome.header.group = config_.base.group;
+      welcome.header.epoch = state.epoch;
+      welcome.header.timestamp_us = now_us();
+      // A replay of current state, not a new operation: no epoch advance,
+      // and the wire message stays welcome-shaped (kJoin) so clients need
+      // no new message kind. Only the OpRecord says kResync.
+      welcome.header.kind = rekey::RekeyKind::kJoin;
+      welcome.header.strategy = config_.base.strategy;
+      std::vector<SymmetricKey> path(keys.begin() + 1, keys.end());
+      if (state.shared) path.push_back(*state.shared);
+      if (!path.empty()) {
+        welcome.ops.push_back(planner.wrap(keys.front(), path));
+      }
+      welcome.to = rekey::Recipient::to_user(user);
+      messages.push_back(std::move(welcome));
+    }
+    pending.plan = planner.take(std::move(messages));
+    pending.views.assign(1, state.view);
+    pending.lane_view = state.view;
+    pending.shard = shard;
+    pending.epoch = state.epoch;
+    if (pending.trace.active()) pending.trace.epoch = state.epoch;
+    pending.op.kind = rekey::RekeyKind::kResync;
+    pending.op.key_encryptions = pending.plan.key_encryptions;
+  }
+  if (telemetry::enabled()) {
+    static auto& resyncs =
+        telemetry::Registry::global().counter("server.resyncs");
+    resyncs.add(1);
+  }
+  seal_and_dispatch(*lanes_[shard], std::move(pending));
+  return true;
+}
+
+void ShardedGroupKeyServer::resync(UserId user) {
+  const std::size_t shard = shard_of(user);
+  if (!try_resync(user, shard, shard_state(shard))) {
+    throw ProtocolError("resync for non-member user " + std::to_string(user));
+  }
 }
 
 bool ShardedGroupKeyServer::resync_with_token(UserId user, BytesView token) {
   if (!auth_.verify_resync_token(user, token)) return false;
-  if (!has_member(user)) return false;
-  resync(user);
-  return true;
+  const std::size_t shard = shard_of(user);
+  return try_resync(user, shard, shard_state(shard));
 }
 
 std::optional<NackOutcome> ShardedGroupKeyServer::try_retransmit_locked(
@@ -858,6 +1006,8 @@ std::optional<NackOutcome> ShardedGroupKeyServer::try_retransmit_locked(
       }
       const rekey::Recipient to = rekey::Recipient::to_user(user);
       for (const BytesView datagram : *replays) {
+        // Already framed kRekey bytes; unicast them back regardless of
+        // their original (subgroup) addressing.
         transport_.deliver(to, datagram,
                            [user] { return std::vector<UserId>{user}; });
       }
@@ -866,29 +1016,38 @@ std::optional<NackOutcome> ShardedGroupKeyServer::try_retransmit_locked(
     if (telemetry::enabled()) RetransmitMetrics::get().out_of_window.add(1);
   }
   if (telemetry::enabled()) RetransmitMetrics::get().resync_fallbacks.add(1);
-  return std::nullopt;
+  return std::nullopt;  // caller falls back to resync
+}
+
+std::optional<NackOutcome> ShardedGroupKeyServer::serve_nack(
+    UserId user, std::uint64_t have_epoch) {
+  const std::size_t shard = shard_of(user);
+  const ShardState state = shard_state(shard);
+  if (!state.view->has_user(user)) return std::nullopt;
+  {
+    const std::lock_guard<std::mutex> lock(dispatch_mutex_);
+    if (const auto outcome = try_retransmit_locked(user, have_epoch)) {
+      return outcome;
+    }
+  }
+  // The fallback plans on the view that answered the membership check.
+  try_resync(user, shard, state);
+  return NackOutcome::kResynced;
 }
 
 NackOutcome ShardedGroupKeyServer::handle_nack(UserId user,
                                                std::uint64_t have_epoch) {
-  if (!has_member(user)) {
+  const std::optional<NackOutcome> outcome = serve_nack(user, have_epoch);
+  if (!outcome) {
     throw ProtocolError("nack from non-member user " + std::to_string(user));
   }
-  {
-    const std::lock_guard<std::mutex> lock(dispatch_mutex_);
-    if (const auto outcome = try_retransmit_locked(user, have_epoch)) {
-      return *outcome;
-    }
-  }
-  resync(user);
-  return NackOutcome::kResynced;
+  return *outcome;
 }
 
 std::optional<NackOutcome> ShardedGroupKeyServer::nack_with_token(
     UserId user, BytesView token, std::uint64_t have_epoch) {
   if (!auth_.verify_resync_token(user, token)) return std::nullopt;
-  if (!has_member(user)) return std::nullopt;
-  return handle_nack(user, have_epoch);
+  return serve_nack(user, have_epoch);
 }
 
 // --- Bulk build ---------------------------------------------------------
@@ -951,6 +1110,48 @@ void ShardedGroupKeyServer::preload(const std::vector<UserId>& users) {
 
 // --- Durable state ------------------------------------------------------
 
+Bytes ShardedGroupKeyServer::snapshot() const {
+  require_single_shard("snapshot");
+  // The view and the epoch it was stitched under, taken as one pair: a
+  // snapshot taken while a writer mutates is still internally consistent.
+  const ShardState state = shard_state(0);
+  return encode_snapshot(state.epoch, *state.view);
+}
+
+void ShardedGroupKeyServer::restore(BytesView snapshot) {
+  require_single_shard("restore");
+  ByteReader reader(snapshot);
+  const std::uint64_t epoch = reader.u64();
+  const Bytes tree_bytes = reader.var_bytes();
+  reader.expect_done();
+  {
+    const std::lock_guard<std::mutex> lane(lanes_[0]->mutex);
+    tree_->restore_shard(0, tree_bytes);  // throws before any change
+    const TreeViewPtr view = tree_->shard(0).view();
+    const std::lock_guard<std::mutex> lock(root_mutex_);
+    epoch_ = epoch;
+    shard_roots_[0] = view->group_key();
+    shard_views_[0] = view;
+  }
+  {
+    const std::lock_guard<std::mutex> order(sequence_mutex_);
+    next_dispatch_ = epoch + 1;
+  }
+  // The old timeline's delivery state must not survive: the retransmit
+  // ring holds sealed bytes for epochs that may disagree with the restored
+  // tree (serving them would hand clients stale keys), and the
+  // convergence monitor's publish ring carries timestamps from before the
+  // restore. Journal replay (replaying_) re-anchors the monitor once, at
+  // the end of recovery, rather than per restored snapshot.
+  {
+    const std::lock_guard<std::mutex> lock(dispatch_mutex_);
+    retransmit_.clear();
+  }
+  if (telemetry::enabled() && !replaying_) {
+    telemetry::ConvergenceMonitor::global().restart_from(epoch);
+  }
+}
+
 void ShardedGroupKeyServer::recover_from_storage(
     const storage::RecoveryOptions& options) {
   if (durable_ == nullptr) {
@@ -959,11 +1160,14 @@ void ShardedGroupKeyServer::recover_from_storage(
   }
   storage::RecoveredLog log = durable_->load(options);
   if (log.snapshot) {
-    // The sharded server never compacts (there is no cross-shard snapshot
-    // format); a snapshot here means the journal belongs to a single-tree
-    // deployment and this config cannot restore it.
-    throw storage::JournalCorruptError(
-        "recover: journal carries a snapshot but the server is sharded");
+    // Only a single-shard server compacts; a snapshot in a multi-lane
+    // journal means the journal and this configuration disagree.
+    if (shard_count() != 1) {
+      throw storage::JournalCorruptError(
+          "recover: journal carries a snapshot but the server has " +
+          std::to_string(shard_count()) + " shards");
+    }
+    restore(*log.snapshot);
   }
   for (const storage::JournalRecord& record : log.records) {
     replay_record(record, options);
@@ -1023,7 +1227,8 @@ void ShardedGroupKeyServer::replay_record(
     {
       const std::lock_guard<std::mutex> lock(lane.mutex);
       // Two tapes, two streams: the lane rng (tree mutation + plan) and
-      // the root rng (G refresh + stitch IVs). Both must drain exactly.
+      // the root rng (G refresh + stitch IVs). Both must drain exactly; a
+      // tape that runs short throws inside the drawing code.
       const crypto::RngTape tape(tree_->rng(shard), record.rng_tape);
       const crypto::RngTape root_tape(root_rng_, record.root_tape);
       switch (record.kind) {
@@ -1084,6 +1289,9 @@ void ShardedGroupKeyServer::replay_record(
   } catch (const storage::StorageError&) {
     throw;
   } catch (const Error& error) {
+    // Plan/seal failures during replay (bad auth_master, wrong config,
+    // tape exhaustion) all mean the same thing: this process cannot
+    // reproduce the journaled state.
     throw storage::ReplayDivergenceError(std::string("replay: ") +
                                          error.what());
   }
@@ -1099,7 +1307,7 @@ void ShardedGroupKeyServer::absorb_replayed(
         " sealed bytes diverge from the journaled digest");
   }
   {
-    // Release the replayed op's ticket so the next record (and, after
+    // Release the replayed op's epoch so the next record (and, after
     // recovery, live traffic) dispatches at epoch_ + 1.
     const std::lock_guard<std::mutex> order(sequence_mutex_);
     next_dispatch_ = pending.epoch + 1;
@@ -1120,7 +1328,7 @@ void ShardedGroupKeyServer::absorb_replayed(
         rekey::StoredDatagram{sealed.to, std::move(datagram),
                               pending.views[i]});
   }
-  retransmit_.record(pending.epoch, pending.lane_view, std::move(stored));
+  retransmit_.record(pending.epoch, std::move(stored));
 }
 
 // --- Introspection ------------------------------------------------------

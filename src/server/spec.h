@@ -32,9 +32,9 @@
 //   client_schedule_cache_capacity = <1..1048576 cached unwrap schedules
 //                                     handed to clients at admission;
 //                                     default 64>
-//   storage       = none | memory | file | mmap   (write-ahead journal
-//                   backend; default none. file/mmap require journal_dir)
-//   journal_dir   = <directory for the file/mmap journal + snapshots;
+//   storage       = none | memory | file   (write-ahead journal backend;
+//                   default none. file requires journal_dir)
+//   journal_dir   = <directory for the file journal + snapshots;
 //                    created if absent>
 //   snapshot_interval = <journal records between compacted snapshots;
 //                        0 = never compact; default 1024>
@@ -55,7 +55,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "server/access_control.h"
 #include "server/server.h"
 
 namespace keygraphs::server {

@@ -5,7 +5,7 @@
 
 namespace keygraphs::server {
 
-StandbyServer::StandbyServer(ServerConfig config,
+StandbyServer::StandbyServer(ShardedServerConfig config,
                              transport::ServerTransport& transport,
                              AccessControl acl)
     : server_(std::move(config), transport, std::move(acl)) {
@@ -47,7 +47,7 @@ std::size_t StandbyServer::poll() {
   return tail.records.size();
 }
 
-GroupKeyServer& StandbyServer::promote() {
+ShardedGroupKeyServer& StandbyServer::promote() {
   if (promoted_) return server_;
   poll();  // drain everything the dead primary made durable
   // The primary may have died mid-append; those torn bytes were never

@@ -2,22 +2,24 @@
 // realized over the PR's write-ahead journal).
 //
 // A StandbyServer wraps a fully constructed — but not yet serving —
-// GroupKeyServer that tails the primary's journal:
+// ShardedGroupKeyServer (any K, configured like the primary) that tails
+// the primary's journal:
 //
-//   poll()    pulls newly durable records (and, after a compaction, the
-//             fresh snapshot) from the shared storage backend and replays
-//             them through the real plan/seal pipeline with the journaled
-//             rng tapes injected. The standby's tree, epoch, and even its
-//             retransmit window converge to byte-identical copies of the
-//             primary's — without a single datagram leaving its transport.
+//   poll()    pulls newly durable records (and, after a single-shard
+//             compaction, the fresh snapshot) from the shared storage
+//             backend and replays them through the real plan/seal pipeline
+//             with the journaled rng tapes injected. The standby's trees,
+//             epoch, and even its retransmit window converge to
+//             byte-identical copies of the primary's — without a single
+//             datagram leaving its transport.
 //   promote() final catch-up, truncates the dead primary's torn tail (if
 //             any), re-anchors the convergence monitor, and hands back the
 //             inner server ready to serve joins/leaves/NACKs immediately.
 //
 // Sharing the journal: tests hand both servers one make_memory_backend()
 // instance via StorageConfig::backend; across processes, both point
-// `journal_dir` at the same directory (file or mmap backend) — the
-// standby only ever reads until promotion.
+// `journal_dir` at the same directory (file backend) — the standby only
+// ever reads until promotion.
 //
 // Caveat: replay reproduces signed bytes only when the replica owns the
 // same RSA signer (same rng_seed), because the signing key is drawn at
@@ -27,7 +29,7 @@
 
 #include <cstddef>
 
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "storage/durable.h"
 
 namespace keygraphs::server {
@@ -37,7 +39,8 @@ class StandbyServer {
   /// `config.storage` must be enabled (it locates the primary's journal).
   /// Construction is cheap; the first poll() does the initial catch-up.
   /// Throws StorageError when storage is not configured.
-  StandbyServer(ServerConfig config, transport::ServerTransport& transport,
+  StandbyServer(ShardedServerConfig config,
+                transport::ServerTransport& transport,
                 AccessControl acl = AccessControl::allow_all());
 
   /// Applies every operation that became durable since the last poll.
@@ -50,20 +53,18 @@ class StandbyServer {
   /// Final catch-up and takeover. After this the inner server serves
   /// traffic (and journals to the same backend, continuing the sequence);
   /// poll() becomes a no-op. Idempotent.
-  GroupKeyServer& promote();
+  ShardedGroupKeyServer& promote();
 
-  [[nodiscard]] GroupKeyServer& server() noexcept { return server_; }
-  [[nodiscard]] const GroupKeyServer& server() const noexcept {
+  [[nodiscard]] ShardedGroupKeyServer& server() noexcept { return server_; }
+  [[nodiscard]] const ShardedGroupKeyServer& server() const noexcept {
     return server_;
   }
   /// Epoch the standby has converged to so far.
-  [[nodiscard]] std::uint64_t epoch() const noexcept {
-    return server_.epoch();
-  }
+  [[nodiscard]] std::uint64_t epoch() const { return server_.epoch(); }
   [[nodiscard]] bool promoted() const noexcept { return promoted_; }
 
  private:
-  GroupKeyServer server_;
+  ShardedGroupKeyServer server_;
   storage::Cursor cursor_;
   storage::RecoveryOptions options_;
   bool promoted_ = false;

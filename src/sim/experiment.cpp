@@ -19,7 +19,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   transport::InProcNetwork network;
-  server::GroupKeyServer server(server_config, network);
+  server::ShardedGroupKeyServer server(
+      server::ShardedServerConfig{server_config}, network);
   ClientSimulator simulator(server, network,
                             SimulatorConfig{config.clients_verify,
                                             config.seed * 31 + 7});
@@ -68,7 +69,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.client_avg_leave_message_bytes =
         simulator.avg_received_message_bytes(RequestKind::kLeave);
   }
-  const keygraphs::TreeViewPtr final_view = server.tree_view();
+  const keygraphs::TreeViewPtr final_view = server.shard_view(0);
   result.final_size = final_view->user_count();
   result.final_height = final_view->height();
   result.final_keys = final_view->key_count();

@@ -25,7 +25,7 @@ telemetry::Counter& request_counter(RequestKind kind) {
 
 }  // namespace
 
-ClientSimulator::ClientSimulator(server::GroupKeyServer& server,
+ClientSimulator::ClientSimulator(server::ShardedGroupKeyServer& server,
                                  transport::InProcNetwork& network,
                                  SimulatorConfig config)
     : server_(server), network_(network), config_(config) {}
@@ -33,8 +33,8 @@ ClientSimulator::ClientSimulator(server::GroupKeyServer& server,
 client::ClientConfig ClientSimulator::client_config(UserId user) const {
   client::ClientConfig config;
   config.user = user;
-  config.suite = server_.config().suite;
-  config.group = server_.config().group;
+  config.suite = server_.config().base.suite;
+  config.group = server_.config().base.group;
   config.root = server_.root_id();
   config.verify = config_.clients_verify;
   config.rng_seed = config_.client_seed ^ (user * 0x9e3779b97f4a7c15ull);
@@ -49,8 +49,8 @@ void ClientSimulator::attach(UserId user, bool install_individual) {
     // The same derivation the server's authentication exchange performs.
     handle->install_individual_key(SymmetricKey{
         individual_key_id(user), 1,
-        server_.auth().individual_key(user,
-                                      server_.config().suite.key_size())});
+        server_.auth().individual_key(
+            user, server_.config().base.suite.key_size())});
   }
   clients_.emplace(user, std::move(owned));
   network_.attach_client(user, [this, handle, user](BytesView datagram) {
@@ -70,15 +70,17 @@ void ClientSimulator::attach(UserId user, bool install_individual) {
 }
 
 void ClientSimulator::materialize_from_tree() {
-  // One epoch view for the whole materialization: every client's snapshot
-  // comes from the same consistent tree state.
-  const TreeViewPtr view = server_.tree_view();
-  for (UserId user : view->users()) {
-    if (clients_.contains(user)) continue;
-    attach(user, /*install_individual=*/false);
-    client::GroupClient& handle = *clients_.at(user);
-    handle.admit_snapshot(view->keyset(user), server_.epoch());
-    network_.resubscribe(user, handle.key_ids());
+  // Call between operations: every client's snapshot comes from the same
+  // quiescent group state.
+  const std::uint64_t epoch = server_.epoch();
+  for (std::size_t shard = 0; shard < server_.shard_count(); ++shard) {
+    for (UserId user : server_.shard_view(shard)->users()) {
+      if (clients_.contains(user)) continue;
+      attach(user, /*install_individual=*/false);
+      client::GroupClient& handle = *clients_.at(user);
+      handle.admit_snapshot(server_.keyset(user), epoch);
+      network_.resubscribe(user, handle.key_ids());
+    }
   }
 }
 

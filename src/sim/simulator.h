@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "client/client.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "sim/workload.h"
 #include "transport/inproc.h"
 
@@ -38,7 +38,7 @@ struct ClientOpRecord {
 
 class ClientSimulator {
  public:
-  ClientSimulator(server::GroupKeyServer& server,
+  ClientSimulator(server::ShardedGroupKeyServer& server,
                   transport::InProcNetwork& network,
                   SimulatorConfig config = {});
 
@@ -81,7 +81,7 @@ class ClientSimulator {
   void attach(UserId user, bool install_individual);
   client::ClientConfig client_config(UserId user) const;
 
-  server::GroupKeyServer& server_;
+  server::ShardedGroupKeyServer& server_;
   transport::InProcNetwork& network_;
   SimulatorConfig config_;
   std::map<UserId, std::unique_ptr<client::GroupClient>> clients_;

@@ -13,8 +13,6 @@ const char* kind_name(Kind kind) noexcept {
       return "memory";
     case Kind::kFile:
       return "file";
-    case Kind::kMmap:
-      return "mmap";
   }
   return "?";
 }
@@ -115,14 +113,11 @@ std::shared_ptr<StorageBackend> make_backend(const StorageConfig& config,
     case Kind::kMemory:
       return make_memory_backend(lanes);
     case Kind::kFile:
-    case Kind::kMmap:
       if (config.journal_dir.empty()) {
-        throw StorageError(std::string("make_backend: storage = ") +
-                           kind_name(config.kind) + " requires journal_dir");
+        throw StorageError(
+            "make_backend: storage = file requires journal_dir");
       }
-      return config.kind == Kind::kFile
-                 ? make_file_backend(config.journal_dir, lanes)
-                 : make_mmap_backend(config.journal_dir, lanes);
+      return make_file_backend(config.journal_dir, lanes);
   }
   throw StorageError("make_backend: unknown storage kind");
 }

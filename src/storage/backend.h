@@ -1,22 +1,18 @@
 // StorageBackend: the pluggable persistence layer under the DurableStore.
 //
 // A backend owns two things per journal "lane" (one lane per shard; the
-// unsharded server uses lane 0) — an append-only byte stream of CRC-framed
+// single-shard server uses lane 0) — an append-only byte stream of CRC-framed
 // journal records — plus at most one compacted snapshot blob and a
 // generation counter. Compaction atomically replaces the snapshot and
 // truncates every lane; the generation counter is how a tailing reader
 // (the hot standby) detects that its byte offsets were invalidated and it
 // must re-anchor on the new snapshot.
 //
-// Three implementations (ROADMAP's multi-backend factory pattern):
+// Two implementations:
 //   memory — RAM only; shareable between a primary and an in-process
 //            standby via the shared_ptr, and the unit-test workhorse.
 //   file   — one fsync'd segment file per (lane, generation) plus an
 //            atomically-replaced snapshot file. Crash-durable.
-//   mmap   — appends go through a memory mapping with a committed-length
-//            header (bytes past `committed` are by definition torn and
-//            ignored), msync'd on sync(). Snapshot/meta reuse the file
-//            path. Trades write syscalls for mapping maintenance.
 //
 // Durability contract: append() makes bytes *visible* to readers of this
 // backend; sync() makes everything appended to the lane so far *durable*.
@@ -39,7 +35,6 @@ enum class Kind : std::uint8_t {
   kNone = 0,  ///< durability disabled (the pre-PR-8 behavior)
   kMemory = 1,
   kFile = 2,
-  kMmap = 3,
 };
 
 [[nodiscard]] const char* kind_name(Kind kind) noexcept;
@@ -81,12 +76,12 @@ class StorageBackend {
 /// kind + journal_dir via make_backend().
 struct StorageConfig {
   Kind kind = Kind::kNone;
-  /// Directory for file/mmap backends (created if absent). Spec key
-  /// `journal_dir`; required for those kinds.
+  /// Directory for the file backend (created if absent). Spec key
+  /// `journal_dir`; required for that kind.
   std::string journal_dir;
   /// Committed records between compacted snapshots; 0 = never compact.
-  /// Spec key `snapshot_interval`. Ignored by the sharded server (its
-  /// recovery is journal-only; see docs/ARCHITECTURE.md).
+  /// Spec key `snapshot_interval`. Ignored at K > 1 shards (that journal
+  /// has one lane per shard and no snapshot; see docs/ARCHITECTURE.md).
   std::uint32_t snapshot_interval = 1024;
   std::shared_ptr<StorageBackend> backend;
 
@@ -96,8 +91,8 @@ struct StorageConfig {
 };
 
 /// Builds the configured backend with `lanes` journal lanes. Throws
-/// StorageError for kNone, for a missing journal_dir on the disk-backed
-/// kinds, or when the directory cannot be created/written.
+/// StorageError for kNone, for a missing journal_dir on the file backend,
+/// or when the directory cannot be created/written.
 [[nodiscard]] std::shared_ptr<StorageBackend> make_backend(
     const StorageConfig& config, std::size_t lanes);
 
@@ -106,8 +101,6 @@ struct StorageConfig {
 [[nodiscard]] std::shared_ptr<StorageBackend> make_memory_backend(
     std::size_t lanes);
 [[nodiscard]] std::shared_ptr<StorageBackend> make_file_backend(
-    const std::string& dir, std::size_t lanes);
-[[nodiscard]] std::shared_ptr<StorageBackend> make_mmap_backend(
     const std::string& dir, std::size_t lanes);
 
 }  // namespace keygraphs::storage

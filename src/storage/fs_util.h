@@ -1,4 +1,4 @@
-// Filesystem plumbing shared by the file and mmap backends: directory
+// Filesystem plumbing for the file backend: directory
 // preparation, atomic (tmp + rename + fsync) replacement, and the two
 // small self-describing metadata files —
 //

@@ -19,7 +19,7 @@
 //   u64 sequence       — global commit order across journal lanes
 //   u64 epoch          — 0 for kPreload records (no epoch advance)
 //   u8  kind           — OpKind
-//   u32 shard          — owning shard lane (0 on the unsharded server)
+//   u32 shard          — owning shard lane (0 on a single-shard server)
 //   u64 timestamp_us   — the header timestamp the plan stamped
 //   u32 n + n×u64      — join user ids (admitted, in plan order)
 //   u32 n + n×u64      — leave user ids

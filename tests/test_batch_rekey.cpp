@@ -171,7 +171,8 @@ TEST_P(BatchEndToEnd, ConvergenceAndSecurity) {
   config.tree_degree = GetParam();
   config.rng_seed = 61;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   sim::ClientSimulator simulator(server, network);
   sim::WorkloadGenerator workload(1);
   simulator.apply_all(workload.initial_joins(24));
@@ -183,14 +184,14 @@ TEST_P(BatchEndToEnd, ConvergenceAndSecurity) {
   eve_config.root = server.root_id();
   eve_config.verify = false;
   client::GroupClient eve(eve_config, nullptr);
-  eve.admit_snapshot(server.tree().keyset(3), server.epoch());
+  eve.admit_snapshot(server.keyset(3), server.epoch());
 
   simulator.apply_batch({100, 101, 102}, {3, 8, 15, 21});
-  EXPECT_EQ(server.tree().user_count(), 23u);
-  server.tree().check_invariants();
+  EXPECT_EQ(server.member_count(), 23u);
+  server.tree().shard(0).check_invariants();
 
   // Convergence: every member (old and new) holds the current group key.
-  const SymmetricKey group = server.tree().group_key();
+  const SymmetricKey group = server.group_key();
   for (UserId user : server.tree().users()) {
     const auto held = simulator.client(user).group_key();
     ASSERT_TRUE(held.has_value()) << "user " << user;
@@ -201,7 +202,7 @@ TEST_P(BatchEndToEnd, ConvergenceAndSecurity) {
 
   // A second batch keeps working (epoch moves, keys roll again).
   simulator.apply_batch({200}, {101});
-  const SymmetricKey group2 = server.tree().group_key();
+  const SymmetricKey group2 = server.group_key();
   EXPECT_NE(group2.secret, group.secret);
   for (UserId user : server.tree().users()) {
     EXPECT_EQ(simulator.client(user).group_key()->secret, group2.secret);
@@ -214,7 +215,8 @@ TEST(BatchServer, StatsRecordedUnderBatchKind) {
   transport::NullTransport transport;
   server::ServerConfig config;
   config.rng_seed = 77;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   for (UserId user = 1; user <= 12; ++user) server.join(user);
   server.stats().reset();
   server.batch({20, 21}, {1, 2, 3});
@@ -230,15 +232,16 @@ TEST(BatchServer, AclFiltersJoinersButBatchProceeds) {
   transport::NullTransport transport;
   server::ServerConfig config;
   config.rng_seed = 78;
-  server::GroupKeyServer server(
-      config, transport, server::AccessControl::allow_list({1, 2, 3, 20}));
+  server::ShardedGroupKeyServer server(
+      server::ShardedServerConfig{config}, transport,
+      server::AccessControl::allow_list({1, 2, 3, 20}));
   server.join(1);
   server.join(2);
   const std::vector<UserId> admitted = server.batch({20, 99}, {1});
   EXPECT_EQ(admitted, (std::vector<UserId>{20}));
-  EXPECT_TRUE(server.tree().has_user(20));
-  EXPECT_FALSE(server.tree().has_user(99));
-  EXPECT_FALSE(server.tree().has_user(1));
+  EXPECT_TRUE(server.has_member(20));
+  EXPECT_FALSE(server.has_member(99));
+  EXPECT_FALSE(server.has_member(1));
 }
 
 }  // namespace

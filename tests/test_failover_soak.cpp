@@ -14,7 +14,7 @@
 
 #include "client/client.h"
 #include "common/io.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "server/standby.h"
 #include "storage/backend.h"
 #include "telemetry/convergence.h"
@@ -48,10 +48,10 @@ TEST(FailoverSoak, PrimaryDeathMidChurnPromotesStandbyAndConverges) {
   config.storage.snapshot_interval = 300;  // several compactions mid-soak
 
   transport::InProcNetwork network;
-  auto primary =
-      std::make_unique<server::GroupKeyServer>(config, network);
-  server::StandbyServer standby(config, network);
-  server::GroupKeyServer* live = primary.get();
+  auto primary = std::make_unique<server::ShardedGroupKeyServer>(
+      server::ShardedServerConfig{config}, network);
+  server::StandbyServer standby(server::ShardedServerConfig{config}, network);
+  server::ShardedGroupKeyServer* live = primary.get();
 
   transport::FaultConfig faults;
   faults.seed = kSeed;
@@ -85,7 +85,7 @@ TEST(FailoverSoak, PrimaryDeathMidChurnPromotesStandbyAndConverges) {
         individual_key_id(user), 1,
         live->auth().individual_key(user, config.suite.key_size())});
     if (snapshot) {
-      client->admit_snapshot(live->tree().keyset(user), live->epoch());
+      client->admit_snapshot(live->keyset(user), live->epoch());
     }
     client::GroupClient& ref = *client;
     const auto resubscribe = [&network, &ref, user, root] {
@@ -126,7 +126,7 @@ TEST(FailoverSoak, PrimaryDeathMidChurnPromotesStandbyAndConverges) {
   };
 
   const auto all_synced = [&] {
-    const Bytes& secret = live->tree().group_key().secret;
+    const Bytes& secret = live->group_key().secret;
     for (const auto& [user, client] : members) {
       const auto key = client->group_key();
       if (!key.has_value() || key->secret != secret) return false;
@@ -226,7 +226,8 @@ TEST(FailoverSoak, PrimaryDeathMidChurnPromotesStandbyAndConverges) {
 
   // And the journal outlives the whole drama: a cold replica recovering
   // from the same backend lands byte-identical to the promoted server.
-  server::GroupKeyServer replica(config, network);
+  server::ShardedGroupKeyServer replica(server::ShardedServerConfig{config},
+                                        network);
   replica.recover_from_storage();
   EXPECT_EQ(replica.snapshot(), live->snapshot());
 }

@@ -38,7 +38,8 @@ class Integration : public ::testing::TestWithParam<IntegrationParam> {
       config.suite = crypto::CryptoSuite::paper_signed();
       config.signing = rekey::SigningMode::kBatch;
     }
-    server_ = std::make_unique<server::GroupKeyServer>(config, network_);
+    server_ = std::make_unique<server::ShardedGroupKeyServer>(
+        server::ShardedServerConfig{config}, network_);
     sim::SimulatorConfig sim_config;
     sim_config.clients_verify = param.sign;
     simulator_ = std::make_unique<sim::ClientSimulator>(*server_, network_,
@@ -46,7 +47,7 @@ class Integration : public ::testing::TestWithParam<IntegrationParam> {
   }
 
   void expect_convergence() {
-    const SymmetricKey group = server_->tree().group_key();
+    const SymmetricKey group = server_->group_key();
     for (UserId user : server_->tree().users()) {
       const auto held = simulator_->client(user).group_key();
       ASSERT_TRUE(held.has_value()) << "user " << user << " has no group key";
@@ -56,7 +57,7 @@ class Integration : public ::testing::TestWithParam<IntegrationParam> {
   }
 
   transport::InProcNetwork network_;
-  std::unique_ptr<server::GroupKeyServer> server_;
+  std::unique_ptr<server::ShardedGroupKeyServer> server_;
   std::unique_ptr<sim::ClientSimulator> simulator_;
 };
 
@@ -66,7 +67,7 @@ TEST_P(Integration, ConvergenceUnderChurn) {
   expect_convergence();
   simulator_->apply_all(workload.churn(60));
   expect_convergence();
-  server_->tree().check_invariants();
+  server_->tree().shard(0).check_invariants();
 }
 
 TEST_P(Integration, EveryMemberCanTalkToEveryOther) {
@@ -92,11 +93,11 @@ TEST_P(Integration, ForwardSecrecy) {
   const UserId attacker = 7;
   client::ClientConfig eve_config;
   eve_config.user = attacker;
-  eve_config.suite = server_->config().suite;
+  eve_config.suite = server_->config().base.suite;
   eve_config.root = server_->root_id();
   eve_config.verify = false;
   client::GroupClient eve(eve_config, server_->public_key());
-  eve.admit_snapshot(server_->tree().keyset(attacker), server_->epoch());
+  eve.admit_snapshot(server_->keyset(attacker), server_->epoch());
   ASSERT_TRUE(eve.group_key().has_value());
 
   std::vector<Bytes> captured;
@@ -106,7 +107,7 @@ TEST_P(Integration, ForwardSecrecy) {
   // sniffer to every current k-node and replay its captures into Eve.
   std::vector<KeyId> all_nodes;
   for (UserId user : server_->tree().users()) {
-    for (const SymmetricKey& key : server_->tree().keyset(user)) {
+    for (const SymmetricKey& key : server_->keyset(user)) {
       all_nodes.push_back(key.id);
     }
   }
@@ -128,7 +129,7 @@ TEST_P(Integration, ForwardSecrecy) {
   }
   EXPECT_EQ(learned, 0u);
   EXPECT_NE(eve.group_key()->secret,
-            server_->tree().group_key().secret);
+            server_->group_key().secret);
 }
 
 TEST_P(Integration, BackwardSecrecy) {
@@ -139,7 +140,7 @@ TEST_P(Integration, BackwardSecrecy) {
   std::vector<Bytes> pre_join_traffic;
   std::vector<KeyId> all_nodes;
   for (UserId user : server_->tree().users()) {
-    for (const SymmetricKey& key : server_->tree().keyset(user)) {
+    for (const SymmetricKey& key : server_->keyset(user)) {
       all_nodes.push_back(key.id);
     }
   }
@@ -166,11 +167,11 @@ TEST_P(Integration, BackwardSecrecy) {
   // holding the same keys but no epoch state).
   client::ClientConfig probe_config;
   probe_config.user = newcomer;
-  probe_config.suite = server_->config().suite;
+  probe_config.suite = server_->config().base.suite;
   probe_config.root = server_->root_id();
   probe_config.verify = false;
   client::GroupClient probe(probe_config, nullptr);
-  probe.admit_snapshot(server_->tree().keyset(newcomer), 0);
+  probe.admit_snapshot(server_->keyset(newcomer), 0);
   std::size_t learned = 0;
   for (const Bytes& datagram : pre_join_traffic) {
     learned += probe.handle_datagram(datagram).keys_changed;
@@ -190,7 +191,7 @@ TEST_P(Integration, ClientKeysetsMirrorTreePaths) {
   simulator_->apply_all(workload.churn(40));
   for (UserId user : server_->tree().users()) {
     std::vector<KeyId> expected;
-    for (const SymmetricKey& key : server_->tree().keyset(user)) {
+    for (const SymmetricKey& key : server_->keyset(user)) {
       expected.push_back(key.id);
     }
     std::sort(expected.begin(), expected.end());
@@ -207,7 +208,7 @@ TEST_P(Integration, GroupShrinksToOneAndRegrows) {
     simulator_->apply(sim::Request{sim::RequestKind::kLeave, members[i]});
     expect_convergence();
   }
-  EXPECT_EQ(server_->tree().user_count(), 1u);
+  EXPECT_EQ(server_->member_count(), 1u);
   simulator_->apply(sim::Request{sim::RequestKind::kJoin, 700});
   simulator_->apply(sim::Request{sim::RequestKind::kJoin, 701});
   expect_convergence();

@@ -32,9 +32,9 @@ TEST(MultiGroupService, GroupsAreIndependentServers) {
   EXPECT_EQ(service.groups_of(1), (std::vector<GroupId>{a}));
   EXPECT_EQ(service.groups_of(2), (std::vector<GroupId>{a, b}));
 
-  const SymmetricKey key_b = service.server(b).tree().group_key();
+  const SymmetricKey key_b = service.server(b).group_key();
   service.server(a).leave(1);
-  EXPECT_EQ(service.server(b).tree().group_key(), key_b);  // untouched
+  EXPECT_EQ(service.server(b).group_key(), key_b);  // untouched
 }
 
 TEST(MultiGroupService, SharedIndividualKeyAcrossGroups) {
@@ -44,10 +44,10 @@ TEST(MultiGroupService, SharedIndividualKeyAcrossGroups) {
   service.server(a).join(7);
   service.server(b).join(7);
   // Both trees hold the same individual key bytes: the key-graph merge.
-  EXPECT_EQ(service.server(a).tree().keyset(7).front().secret,
-            service.server(b).tree().keyset(7).front().secret);
+  EXPECT_EQ(service.server(a).keyset(7).front().secret,
+            service.server(b).keyset(7).front().secret);
   EXPECT_EQ(service.individual_key(7),
-            service.server(a).tree().keyset(7).front().secret);
+            service.server(a).keyset(7).front().secret);
 }
 
 TEST(MultiGroupService, OneClientPerMembershipConverges) {
@@ -67,9 +67,9 @@ TEST(MultiGroupService, OneClientPerMembershipConverges) {
   }
 
   EXPECT_EQ(sim_a.client(5).group_key()->secret,
-            service.server(a).tree().group_key().secret);
+            service.server(a).group_key().secret);
   EXPECT_EQ(sim_b.client(5).group_key()->secret,
-            service.server(b).tree().group_key().secret);
+            service.server(b).group_key().secret);
   EXPECT_NE(sim_a.client(5).group_key()->secret,
             sim_b.client(5).group_key()->secret);
 
@@ -79,7 +79,7 @@ TEST(MultiGroupService, OneClientPerMembershipConverges) {
   sim_a.apply(sim::Request{sim::RequestKind::kJoin, 3});
   EXPECT_EQ(sim_b.client(5).group_key()->secret, before_b);
   EXPECT_EQ(sim_a.client(5).group_key()->secret,
-            service.server(a).tree().group_key().secret);
+            service.server(a).group_key().secret);
 }
 
 TEST(MultiGroupService, ClientIgnoresOtherGroupsMessages) {

@@ -4,9 +4,11 @@
 // overload=off byte-identity guarantee.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "client/client.h"
@@ -14,9 +16,8 @@
 #include "common/io.h"
 #include "rekey/message.h"
 #include "rekey/strategy.h"
-#include "server/locked_server.h"
 #include "server/overload.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "server/spec.h"
 #include "telemetry/metrics.h"
 #include "transport/inproc.h"
@@ -177,7 +178,7 @@ struct DegradedServer {
   std::uint64_t now_us = 1'000'000;
   server::ServerConfig config;
   transport::InProcNetwork network;
-  std::unique_ptr<server::GroupKeyServer> server;
+  std::unique_ptr<server::ShardedGroupKeyServer> server;
 
   explicit DegradedServer(UserId members) {
     config.rng_seed = 7;
@@ -187,9 +188,10 @@ struct DegradedServer {
     config.overload.degraded_batch_period_us = 100'000;
     config.overload.shed_deadline_us = 250'000;
     config.overload.degrade_queue_fraction = 0.0;  // pinned degraded
-    server = std::make_unique<server::GroupKeyServer>(config, network);
+    server = std::make_unique<server::ShardedGroupKeyServer>(
+        server::ShardedServerConfig{config}, network);
     for (UserId user = 1; user <= members; ++user) server->join(user);
-    server->evaluate_overload();
+    server->poll_overload();  // evaluates into degraded
   }
 
   Bytes join_token(UserId user) { return server->auth().join_token(user); }
@@ -198,7 +200,7 @@ struct DegradedServer {
 
 TEST(ServerOverloadTest, DegradedJoinsCoalesceIntoOneBatchFlush) {
   DegradedServer fixture(8);
-  server::GroupKeyServer& server = *fixture.server;
+  server::ShardedGroupKeyServer& server = *fixture.server;
   ASSERT_EQ(server.health(), HealthState::kDegraded);
   const std::uint64_t epoch_before = server.epoch();
 
@@ -214,7 +216,7 @@ TEST(ServerOverloadTest, DegradedJoinsCoalesceIntoOneBatchFlush) {
 
   // Nothing rekeys until the batch tick: five ops, zero epochs so far.
   EXPECT_EQ(server.epoch(), epoch_before);
-  EXPECT_FALSE(server.tree_view()->has_user(100));
+  EXPECT_FALSE(server.has_member(100));
 
   fixture.now_us += fixture.config.overload.degraded_batch_period_us;
   const server::OverloadTick tick = server.poll_overload();
@@ -225,14 +227,14 @@ TEST(ServerOverloadTest, DegradedJoinsCoalesceIntoOneBatchFlush) {
   // One coalesced batch: all five ops cost a single epoch.
   EXPECT_EQ(server.epoch(), epoch_before + 1);
   for (UserId user = 100; user < 104; ++user) {
-    EXPECT_TRUE(server.tree_view()->has_user(user));
+    EXPECT_TRUE(server.has_member(user));
   }
-  EXPECT_FALSE(server.tree_view()->has_user(3));
+  EXPECT_FALSE(server.has_member(3));
 }
 
 TEST(ServerOverloadTest, DuplicateAndConflictingOffers) {
   DegradedServer fixture(8);
-  server::GroupKeyServer& server = *fixture.server;
+  server::ShardedGroupKeyServer& server = *fixture.server;
 
   ASSERT_EQ(server.offer_join(200, fixture.join_token(200)).action,
             Admission::kCoalesce);
@@ -263,7 +265,7 @@ TEST(ServerOverloadTest, DuplicateAndConflictingOffers) {
 
 TEST(ServerOverloadTest, DeadlineExpiredOpsAreShedAtFlush) {
   DegradedServer fixture(8);
-  server::GroupKeyServer& server = *fixture.server;
+  server::ShardedGroupKeyServer& server = *fixture.server;
 
   ASSERT_EQ(server.offer_join(400, fixture.join_token(400)).action,
             Admission::kCoalesce);
@@ -276,33 +278,50 @@ TEST(ServerOverloadTest, DeadlineExpiredOpsAreShedAtFlush) {
   EXPECT_EQ(tick.shed[0].user, 400u);
   EXPECT_TRUE(tick.shed[0].join);
   EXPECT_GT(tick.shed[0].retry_after_us, 0u);
-  EXPECT_FALSE(server.tree_view()->has_user(400));
+  EXPECT_FALSE(server.has_member(400));
   // The queue slot was returned.
   EXPECT_EQ(server.admission().depth(0), 0u);
 }
 
-TEST(ServerOverloadTest, LockedFacadeFlushesThroughTicketPipeline) {
-  std::uint64_t now_us = 1'000'000;
+// Degraded flushes and direct joins from two threads share one epoch
+// sequence: every flush is one batch epoch, every join one more, and none
+// is lost or dispatched out of order (TSan watches the buffers, the gate
+// and the sequencer).
+TEST(ServerOverloadTest, FlushSharesTheEpochSequenceWithDirectJoins) {
+  std::atomic<std::uint64_t> now_us{1'000'000};
   server::ServerConfig config;
   config.rng_seed = 11;
-  config.clock_us = [&now_us] { return now_us; };
+  config.clock_us = [&now_us] { return now_us.load(); };
   config.overload.enabled = true;
   config.overload.degrade_queue_fraction = 0.0;
   config.overload.degraded_batch_period_us = 50'000;
   transport::InProcNetwork network;
-  server::LockedGroupKeyServer locked(config, network);
-  for (UserId user = 1; user <= 4; ++user) locked.join(user);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
+  for (UserId user = 1; user <= 4; ++user) server.join(user);
+  server.poll_overload();  // evaluates into degraded
+  ASSERT_EQ(server.health(), HealthState::kDegraded);
 
-  locked.poll_overload();  // evaluates into degraded
-  ASSERT_EQ(locked.health(), HealthState::kDegraded);
-  const Bytes token = locked.auth().join_token(77);
-  EXPECT_EQ(locked.offer_join(77, token).action, Admission::kCoalesce);
-  now_us += 50'000;
-  const server::OverloadTick tick = locked.poll_overload();
-  EXPECT_TRUE(tick.flushed);
-  ASSERT_EQ(tick.joined.size(), 1u);
-  EXPECT_EQ(tick.joined[0], 77u);
-  EXPECT_TRUE(locked.has_member(77));
+  constexpr UserId kOps = 24;
+  std::thread direct([&server] {
+    for (UserId i = 0; i < kOps; ++i) {
+      EXPECT_EQ(server.join(2000 + i), server::JoinResult::kGranted);
+    }
+  });
+  for (UserId i = 0; i < kOps; ++i) {
+    const UserId user = 1000 + i;
+    EXPECT_EQ(server.offer_join(user, server.auth().join_token(user)).action,
+              Admission::kCoalesce);
+    now_us += 50'000;
+    const server::OverloadTick tick = server.poll_overload();
+    EXPECT_TRUE(tick.flushed);
+    ASSERT_EQ(tick.joined.size(), 1u);
+    EXPECT_EQ(tick.joined[0], user);
+  }
+  direct.join();
+  EXPECT_EQ(server.epoch(), 4u + 2u * kOps);
+  EXPECT_EQ(server.member_count(), 4u + 2u * kOps);
+  EXPECT_EQ(server.stats().size(), 4u + 2u * kOps);
 }
 
 TEST(ServerOverloadTest, OverloadOffProducesIdenticalWireBytes) {
@@ -315,7 +334,8 @@ TEST(ServerOverloadTest, OverloadOffProducesIdenticalWireBytes) {
     config.clock_us = [] { return std::uint64_t{5'000'000}; };
     config.overload.enabled = overload_on;
     transport::InProcNetwork network;
-    server::GroupKeyServer server(config, network);
+    server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                         network);
     std::vector<Bytes> captured;
     for (UserId user = 1; user <= 6; ++user) {
       network.attach_client(user, [&captured](BytesView datagram) {

@@ -95,7 +95,8 @@ TEST(ServerSnapshot, FailoverIsInvisibleToClients) {
   config.tree_degree = 4;
   config.rng_seed = 10;
   transport::InProcNetwork network;
-  server::GroupKeyServer primary(config, network);
+  server::ShardedGroupKeyServer primary(server::ShardedServerConfig{config},
+                                        network);
   sim::ClientSimulator clients(primary, network);
   sim::WorkloadGenerator workload(4);
   clients.apply_all(workload.initial_joins(12));
@@ -104,16 +105,17 @@ TEST(ServerSnapshot, FailoverIsInvisibleToClients) {
   const Bytes snapshot = primary.snapshot();
   server::ServerConfig standby_config = config;
   standby_config.rng_seed = 999;  // different future randomness is fine
-  server::GroupKeyServer standby(standby_config, network);
+  server::ShardedGroupKeyServer standby(
+      server::ShardedServerConfig{standby_config}, network);
   standby.restore(snapshot);
   EXPECT_EQ(standby.epoch(), primary.epoch());
-  EXPECT_EQ(standby.tree().group_key(), primary.tree().group_key());
+  EXPECT_EQ(standby.group_key(), primary.group_key());
 
   // ...the standby takes over and rekeys: existing clients must be able to
   // process its messages seamlessly (same node ids, same old keys).
   standby.leave(3);
   network.detach_client(3);  // the evicted client stops listening
-  const SymmetricKey group = standby.tree().group_key();
+  const SymmetricKey group = standby.group_key();
   for (UserId user : standby.tree().users()) {
     const auto held = clients.client(user).group_key();
     ASSERT_TRUE(held.has_value()) << "user " << user;
@@ -125,24 +127,27 @@ TEST(ServerSnapshot, RestoreRejectsGarbageWithoutStateChange) {
   server::ServerConfig config;
   config.rng_seed = 11;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   server.join(1);
   server.join(2);
-  const SymmetricKey before = server.tree().group_key();
+  const SymmetricKey before = server.group_key();
   EXPECT_THROW(server.restore(bytes_of("not a snapshot")), ParseError);
-  EXPECT_EQ(server.tree().group_key(), before);
-  EXPECT_EQ(server.tree().user_count(), 2u);
+  EXPECT_EQ(server.group_key(), before);
+  EXPECT_EQ(server.member_count(), 2u);
 }
 
 TEST(ServerSnapshot, SnapshotCarriesEpoch) {
   server::ServerConfig config;
   config.rng_seed = 12;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   for (UserId user = 1; user <= 6; ++user) server.join(user);
   const Bytes snapshot = server.snapshot();
 
-  server::GroupKeyServer replica(config, transport);
+  server::ShardedGroupKeyServer replica(server::ShardedServerConfig{config},
+                                        transport);
   replica.restore(snapshot);
   EXPECT_EQ(replica.epoch(), 6u);
   // The next operation uses epoch 7 — clients' replay protection holds.
@@ -156,7 +161,8 @@ TEST(ServerSnapshot, RestoreResetsTheRetransmitWindow) {
   config.retransmit_window = 16;
   config.recovery_rate = 0;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   for (UserId user = 1; user <= 6; ++user) server.join(user);
   const Bytes snapshot = server.snapshot();  // epoch 6
   for (UserId user = 7; user <= 9; ++user) server.join(user);
@@ -182,7 +188,8 @@ TEST(ServerSnapshot, RestoreReanchorsTheConvergenceMonitor) {
   server::ServerConfig config;
   config.rng_seed = 14;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   for (UserId user = 1; user <= 6; ++user) server.join(user);
   const Bytes snapshot = server.snapshot();
   for (UserId user = 7; user <= 10; ++user) server.join(user);

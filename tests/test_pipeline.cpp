@@ -13,7 +13,7 @@
 #include "common/thread_pool.h"
 #include "rekey/executor.h"
 #include "rekey/plan.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "transport/transport.h"
 
 namespace keygraphs {
@@ -146,7 +146,7 @@ server::ServerConfig signed_config(rekey::StrategyKind strategy,
   return config;
 }
 
-void run_churn(server::GroupKeyServer& server) {
+void run_churn(server::ShardedGroupKeyServer& server) {
   for (UserId user = 1; user <= 16; ++user) server.join(user);
   server.leave(5);
   server.leave(12);
@@ -157,11 +157,13 @@ void run_churn(server::GroupKeyServer& server) {
 
 void expect_identical_wire(rekey::StrategyKind strategy) {
   RecordingTransport serial_wire;
-  server::GroupKeyServer serial(signed_config(strategy, 1), serial_wire);
+  server::ShardedGroupKeyServer serial(
+      server::ShardedServerConfig{signed_config(strategy, 1)}, serial_wire);
   run_churn(serial);
 
   RecordingTransport parallel_wire;
-  server::GroupKeyServer parallel(signed_config(strategy, 4), parallel_wire);
+  server::ShardedGroupKeyServer parallel(
+      server::ShardedServerConfig{signed_config(strategy, 4)}, parallel_wire);
   run_churn(parallel);
 
   EXPECT_EQ(serial.epoch(), parallel.epoch());
@@ -204,14 +206,16 @@ TEST(PipelineDeterminism, UnsignedDigestPath) {
   {
     server::ServerConfig config = base;
     config.seal_threads = 1;
-    server::GroupKeyServer server(config, serial_wire);
+    server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                         serial_wire);
     run_churn(server);
   }
   RecordingTransport parallel_wire;
   {
     server::ServerConfig config = base;
     config.seal_threads = 8;
-    server::GroupKeyServer server(config, parallel_wire);
+    server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                         parallel_wire);
     run_churn(server);
   }
   ASSERT_EQ(serial_wire.sent().size(), parallel_wire.sent().size());

@@ -7,7 +7,7 @@
 #include "client/client.h"
 #include "common/io.h"
 #include "rekey/strategy.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "transport/inproc.h"
 
 namespace keygraphs::client {
@@ -304,7 +304,8 @@ TEST(Recovery, ReplayAndReorderNeverRollBackUnderAnyStrategy) {
     config.strategy = strategy;
     config.rng_seed = 61;
     transport::InProcNetwork network;
-    server::GroupKeyServer server(config, network);
+    server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                         network);
 
     ClientConfig member_config;
     member_config.user = 1;
@@ -353,7 +354,7 @@ TEST(Recovery, ReplayAndReorderNeverRollBackUnderAnyStrategy) {
     EXPECT_EQ(member.recovery_state(), RecoveryState::kSynced);
     EXPECT_GT(member.recovery_stats().duplicates, 0u);
     EXPECT_EQ(member.group_key()->secret,
-              server.tree().group_key().secret);
+              server.group_key().secret);
   }
 }
 

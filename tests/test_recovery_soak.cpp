@@ -19,7 +19,7 @@
 #include "client/client.h"
 #include "common/io.h"
 #include "http_client.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "telemetry/convergence.h"
 #include "telemetry/http.h"
 #include "telemetry/metrics.h"
@@ -58,7 +58,8 @@ SoakResult run_soak(double drop, std::uint64_t seed, std::size_t group_size,
   config.retransmit_window = 64;
   config.recovery_rate = 0;  // unlimited; the limiter has its own tests
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
 
   transport::FaultConfig faults;
   faults.seed = seed;
@@ -94,7 +95,7 @@ SoakResult run_soak(double drop, std::uint64_t seed, std::size_t group_size,
         individual_key_id(user), 1,
         server.auth().individual_key(user, config.suite.key_size())});
     if (snapshot) {
-      client->admit_snapshot(server.tree().keyset(user), server.epoch());
+      client->admit_snapshot(server.keyset(user), server.epoch());
     }
     client::GroupClient& ref = *client;
     // The inbox always stays subscribed to the group key's address: a
@@ -142,7 +143,7 @@ SoakResult run_soak(double drop, std::uint64_t seed, std::size_t group_size,
   };
 
   const auto all_synced = [&] {
-    const Bytes& secret = server.tree().group_key().secret;
+    const Bytes& secret = server.group_key().secret;
     for (const auto& [user, client] : members) {
       const auto key = client->group_key();
       if (!key.has_value() || key->secret != secret) return false;

@@ -5,7 +5,7 @@
 
 #include "client/client.h"
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "sim/simulator.h"
 
 namespace keygraphs {
@@ -16,7 +16,8 @@ TEST(Resync, MissedRekeyDetectedAndRecovered) {
   config.tree_degree = 4;
   config.rng_seed = 91;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   sim::ClientSimulator simulator(server, network);
   sim::WorkloadGenerator workload(2);
   simulator.apply_all(workload.initial_joins(12));
@@ -36,7 +37,7 @@ TEST(Resync, MissedRekeyDetectedAndRecovered) {
   // The next operation's rekey reaches the victim but decrypts nothing:
   // its path keys are one version behind.
   server.leave(9);
-  EXPECT_NE(victim.group_key()->secret, server.tree().group_key().secret);
+  EXPECT_NE(victim.group_key()->secret, server.group_key().secret);
 
   // Detection: feed the victim the next rekey directly and observe the
   // signal (the in-proc delivery above already returned it to the handler;
@@ -63,15 +64,16 @@ TEST(Resync, MissedRekeyDetectedAndRecovered) {
   const std::uint64_t epoch_before = server.epoch();
   EXPECT_TRUE(server.resync_with_token(3, server.auth().resync_token(3)));
   EXPECT_EQ(server.epoch(), epoch_before);  // replay, not an operation
-  EXPECT_EQ(victim.group_key()->secret, server.tree().group_key().secret);
-  EXPECT_EQ(victim.group_key()->version, server.tree().group_key().version);
+  EXPECT_EQ(victim.group_key()->secret, server.group_key().secret);
+  EXPECT_EQ(victim.group_key()->version, server.group_key().version);
 }
 
 TEST(Resync, RecordedInStatsWithoutAdvancingEpoch) {
   server::ServerConfig config;
   config.rng_seed = 95;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   for (UserId user = 1; user <= 8; ++user) server.join(user);
   const std::uint64_t epoch_before = server.epoch();
   const std::size_t ops_before = server.stats().records().size();
@@ -86,7 +88,7 @@ TEST(Resync, RecordedInStatsWithoutAdvancingEpoch) {
   EXPECT_EQ(record.messages, 1u);  // one welcome-style unicast
   // The replay wraps the member's non-individual path keys once each.
   EXPECT_EQ(record.key_encryptions,
-            server.tree().keyset(5).size() - 1);
+            server.keyset(5).size() - 1);
   EXPECT_GT(record.bytes, 0u);
   // Resyncs aggregate separately from joins: a kJoin summary is unchanged
   // by resync traffic.
@@ -101,7 +103,8 @@ TEST(Resync, NonMemberRejected) {
   server::ServerConfig config;
   config.rng_seed = 92;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   server.join(1);
   EXPECT_THROW(server.resync(42), ProtocolError);
   EXPECT_FALSE(server.resync_with_token(42, server.auth().resync_token(42)));
@@ -112,7 +115,8 @@ TEST(Resync, NormalOperationNeverSignalsResync) {
   config.tree_degree = 3;
   config.rng_seed = 93;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
 
   // Track outcomes of every delivery for one always-connected member.
   bool ever_needed_resync = false;
@@ -136,7 +140,7 @@ TEST(Resync, NormalOperationNeverSignalsResync) {
   for (UserId user = 2; user <= 20; ++user) server.join(user);
   for (UserId user : {5u, 9u, 13u, 2u}) server.leave(user);
   EXPECT_FALSE(ever_needed_resync);
-  EXPECT_EQ(member.group_key()->secret, server.tree().group_key().secret);
+  EXPECT_EQ(member.group_key()->secret, server.group_key().secret);
 }
 
 TEST(Resync, SignedResyncVerifies) {
@@ -145,7 +149,8 @@ TEST(Resync, SignedResyncVerifies) {
   config.signing = rekey::SigningMode::kBatch;
   config.rng_seed = 94;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   server.join(1);
   server.join(2);
 
@@ -164,7 +169,7 @@ TEST(Resync, SignedResyncVerifies) {
   });
   server.resync(2);
   EXPECT_TRUE(last.accepted);  // batch signature on the replay verifies
-  EXPECT_EQ(member.group_key()->secret, server.tree().group_key().secret);
+  EXPECT_EQ(member.group_key()->secret, server.group_key().secret);
 }
 
 }  // namespace

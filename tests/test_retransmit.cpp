@@ -8,8 +8,7 @@
 
 #include "client/client.h"
 #include "common/error.h"
-#include "server/locked_server.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "transport/inproc.h"
 
 namespace keygraphs {
@@ -18,13 +17,13 @@ namespace {
 /// A member client wired to the in-proc network that applies everything
 /// delivered to it (and keeps its multicast subscriptions current).
 struct Member {
-  Member(server::GroupKeyServer& server, transport::InProcNetwork& network,
-         UserId user)
+  Member(server::ShardedGroupKeyServer& server,
+         transport::InProcNetwork& network, UserId user)
       : network_(network), user_(user) {
     client::ClientConfig config;
     config.user = user;
-    config.suite = server.config().suite;
-    config.group = server.config().group;
+    config.suite = server.config().base.suite;
+    config.group = server.config().base.group;
     config.root = server.root_id();
     config.verify = false;
     config.rng_seed = user;
@@ -64,7 +63,8 @@ server::ServerConfig base_config(std::uint64_t* clock_us) {
 TEST(Retransmit, InWindowGapServedFromSealedRing) {
   std::uint64_t now = 1'000'000;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(base_config(&now), network);
+  server::ShardedGroupKeyServer server(
+      server::ShardedServerConfig{base_config(&now)}, network);
   Member victim(server, network, 2);
   for (UserId user = 1; user <= 8; ++user) server.join(user);
   ASSERT_EQ(victim->applied_epoch(), server.epoch());
@@ -88,13 +88,14 @@ TEST(Retransmit, InWindowGapServedFromSealedRing) {
   EXPECT_EQ(server.stats().summarize(rekey::RekeyKind::kResync).operations,
             resyncs_before);
   EXPECT_EQ(victim->applied_epoch(), server.epoch());
-  EXPECT_EQ(victim->group_key()->secret, server.tree().group_key().secret);
+  EXPECT_EQ(victim->group_key()->secret, server.group_key().secret);
 }
 
 TEST(Retransmit, NackForNothingIsACheapNoOp) {
   std::uint64_t now = 1'000'000;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(base_config(&now), network);
+  server::ShardedGroupKeyServer server(
+      server::ShardedServerConfig{base_config(&now)}, network);
   Member member(server, network, 1);
   for (UserId user = 1; user <= 4; ++user) server.join(user);
   const std::size_t deliveries_before = network.deliveries();
@@ -109,7 +110,8 @@ TEST(Retransmit, OutOfWindowGapFallsBackToResync) {
   server::ServerConfig config = base_config(&now);
   config.retransmit_window = 2;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   Member victim(server, network, 2);
   for (UserId user = 1; user <= 4; ++user) server.join(user);
 
@@ -125,7 +127,7 @@ TEST(Retransmit, OutOfWindowGapFallsBackToResync) {
             1u);
   // The keyset replay jump-syncs the victim over the whole gap.
   EXPECT_EQ(victim->applied_epoch(), server.epoch());
-  EXPECT_EQ(victim->group_key()->secret, server.tree().group_key().secret);
+  EXPECT_EQ(victim->group_key()->secret, server.group_key().secret);
 }
 
 TEST(Retransmit, DisabledWindowAlwaysResyncs) {
@@ -133,7 +135,8 @@ TEST(Retransmit, DisabledWindowAlwaysResyncs) {
   server::ServerConfig config = base_config(&now);
   config.retransmit_window = 0;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   Member victim(server, network, 1);
   server.join(1);
   server.join(2);
@@ -148,7 +151,8 @@ TEST(Retransmit, RateLimiterCapsPerUserRequests) {
   config.recovery_rate = 1.0;  // one request per second after the burst
   config.recovery_burst = 2.0;
   transport::InProcNetwork network;
-  server::GroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
   Member member(server, network, 1);
   server.join(1);
   server.join(2);
@@ -175,7 +179,8 @@ TEST(Retransmit, WindowTracksDispatchedEpochsButNotResyncs) {
   server::ServerConfig config = base_config(&now);
   config.retransmit_window = 4;
   transport::NullTransport transport;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
   for (UserId user = 1; user <= 6; ++user) server.join(user);
 
   const rekey::RetransmitWindow& window = server.retransmit_window();
@@ -194,7 +199,8 @@ TEST(Retransmit, WindowTracksDispatchedEpochsButNotResyncs) {
 TEST(Retransmit, NackRequiresMembershipAndToken) {
   std::uint64_t now = 1'000'000;
   transport::NullTransport transport;
-  server::GroupKeyServer server(base_config(&now), transport);
+  server::ShardedGroupKeyServer server(
+      server::ShardedServerConfig{base_config(&now)}, transport);
   server.join(1);
   EXPECT_THROW(server.handle_nack(42, 0), ProtocolError);
   EXPECT_FALSE(
@@ -207,17 +213,18 @@ TEST(Retransmit, NackRequiresMembershipAndToken) {
           .has_value());
 }
 
-TEST(Retransmit, LockedServerServesNacks) {
+TEST(Retransmit, TokenNackResyncsPastTheWindowThenReplaysFromIt) {
   std::uint64_t now = 1'000'000;
   server::ServerConfig config = base_config(&now);
   config.retransmit_window = 1;  // force the resync fallback on a 2-gap
   transport::InProcNetwork network;
-  server::LockedGroupKeyServer server(config, network);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       network);
 
   client::ClientConfig member_config;
   member_config.user = 2;
   member_config.suite = config.suite;
-  member_config.root = server.tree_view()->root_id();
+  member_config.root = server.root_id();
   member_config.verify = false;
   client::GroupClient victim(member_config, nullptr);
   victim.install_individual_key(SymmetricKey{
@@ -247,8 +254,7 @@ TEST(Retransmit, LockedServerServesNacks) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, server::NackOutcome::kResynced);
   EXPECT_EQ(victim.applied_epoch(), server.epoch());
-  EXPECT_EQ(victim.group_key()->secret,
-            server.tree_view()->group_key().secret);
+  EXPECT_EQ(victim.group_key()->secret, server.group_key().secret);
 
   // Caught up again: the next NACK is served straight from the window.
   const auto cheap = server.nack_with_token(

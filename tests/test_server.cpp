@@ -1,7 +1,7 @@
-// GroupKeyServer: protocol behaviour (grant/deny/duplicate), ACL, token
-// authentication, epoch progression, stats recording, resolver semantics,
-// and the star baseline configuration.
-#include "server/server.h"
+// The key server at K = 1: protocol behaviour (grant/deny/duplicate), ACL,
+// token authentication, epoch progression, stats recording, resolver
+// semantics, and the star baseline configuration.
+#include "server/sharded_server.h"
 
 #include <gtest/gtest.h>
 
@@ -13,22 +13,22 @@
 namespace keygraphs::server {
 namespace {
 
-ServerConfig plain_config(rekey::StrategyKind strategy =
-                              rekey::StrategyKind::kGroupOriented) {
-  ServerConfig config;
-  config.strategy = strategy;
-  config.rng_seed = 11;
+ShardedServerConfig plain_config(rekey::StrategyKind strategy =
+                                     rekey::StrategyKind::kGroupOriented) {
+  ShardedServerConfig config;
+  config.base.strategy = strategy;
+  config.base.rng_seed = 11;
   return config;
 }
 
 TEST(Server, JoinGrantDuplicateDeny) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport,
-                        AccessControl::allow_list({1, 2}));
+  ShardedGroupKeyServer server(plain_config(), transport,
+                               AccessControl::allow_list({1, 2}));
   EXPECT_EQ(server.join(1), JoinResult::kGranted);
   EXPECT_EQ(server.join(1), JoinResult::kDuplicate);
   EXPECT_EQ(server.join(3), JoinResult::kDenied);
-  EXPECT_EQ(server.tree().user_count(), 1u);
+  EXPECT_EQ(server.member_count(), 1u);
 }
 
 TEST(Server, AccessControlGrantRevoke) {
@@ -43,26 +43,26 @@ TEST(Server, AccessControlGrantRevoke) {
 
 TEST(Server, LeaveUnknownThrows) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   EXPECT_THROW(server.leave(9), ProtocolError);
 }
 
 TEST(Server, JoinLeaveLifecycle) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   for (UserId user = 1; user <= 10; ++user) {
     EXPECT_EQ(server.join(user), JoinResult::kGranted);
   }
-  const SymmetricKey before = server.tree().group_key();
+  const SymmetricKey before = server.group_key();
   server.leave(5);
-  EXPECT_FALSE(server.tree().has_user(5));
-  EXPECT_NE(server.tree().group_key().secret, before.secret);
-  server.tree().check_invariants();
+  EXPECT_FALSE(server.has_member(5));
+  EXPECT_NE(server.group_key().secret, before.secret);
+  server.tree().shard(0).check_invariants();
 }
 
 TEST(Server, EpochIncrementsPerOperation) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   EXPECT_EQ(server.epoch(), 0u);
   server.join(1);
   server.join(2);
@@ -72,7 +72,7 @@ TEST(Server, EpochIncrementsPerOperation) {
 
 TEST(Server, TokenAuthentication) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   const AuthService& auth = server.auth();
 
   EXPECT_EQ(server.join_with_token(7, auth.join_token(7)),
@@ -83,9 +83,9 @@ TEST(Server, TokenAuthentication) {
             JoinResult::kDenied);
 
   EXPECT_FALSE(server.leave_with_token(7, bytes_of("forged")));
-  EXPECT_TRUE(server.tree().has_user(7));
+  EXPECT_TRUE(server.has_member(7));
   EXPECT_TRUE(server.leave_with_token(7, auth.leave_token(7)));
-  EXPECT_FALSE(server.tree().has_user(7));
+  EXPECT_FALSE(server.has_member(7));
   // Leaving again fails cleanly (not a member).
   EXPECT_FALSE(server.leave_with_token(7, auth.leave_token(7)));
 }
@@ -103,7 +103,7 @@ TEST(Server, AuthServiceDerivesStableKeys) {
 
 TEST(Server, StatsRecordedPerOperation) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   for (UserId user = 1; user <= 8; ++user) server.join(user);
   server.leave(3);
   server.leave(4);
@@ -121,7 +121,7 @@ TEST(Server, StatsRecordedPerOperation) {
 
 TEST(Server, TransportSeesDatagrams) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   server.join(1);
   EXPECT_EQ(transport.datagrams(), 1u);  // welcome only (no other members)
   server.join(2);
@@ -132,34 +132,35 @@ TEST(Server, TransportSeesDatagrams) {
 
 TEST(Server, ResolveSubgroupDifference) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   for (UserId user = 1; user <= 9; ++user) server.join(user);
+  const TreeViewPtr view = server.shard_view(0);
   const std::vector<UserId> everyone =
-      server.resolve_subgroup(server.root_id(), std::nullopt);
+      view->resolve_subgroup(server.root_id(), std::nullopt);
   EXPECT_EQ(everyone.size(), 9u);
-  const std::vector<UserId> all_but_3 = server.resolve_subgroup(
+  const std::vector<UserId> all_but_3 = view->resolve_subgroup(
       server.root_id(), individual_key_id(3));
   EXPECT_EQ(all_but_3.size(), 8u);
   EXPECT_TRUE(std::find(all_but_3.begin(), all_but_3.end(), 3) ==
               all_but_3.end());
   // Vanished k-nodes resolve to empty, not an error.
-  EXPECT_TRUE(server.resolve_subgroup(999999, std::nullopt).empty());
-  EXPECT_EQ(server.resolve_subgroup(server.root_id(), 999999).size(), 9u);
+  EXPECT_TRUE(view->resolve_subgroup(999999, std::nullopt).empty());
+  EXPECT_EQ(view->resolve_subgroup(server.root_id(), 999999).size(), 9u);
 }
 
 TEST(Server, SigningModesRequireSuite) {
   transport::NullTransport transport;
-  ServerConfig config = plain_config();
-  config.signing = rekey::SigningMode::kBatch;  // but suite has no RSA
-  EXPECT_THROW(GroupKeyServer(config, transport), ProtocolError);
+  ShardedServerConfig config = plain_config();
+  config.base.signing = rekey::SigningMode::kBatch;  // but suite has no RSA
+  EXPECT_THROW(ShardedGroupKeyServer(config, transport), ProtocolError);
 }
 
 TEST(Server, SignedServerExposesPublicKey) {
   transport::NullTransport transport;
-  ServerConfig config = plain_config();
-  config.suite = crypto::CryptoSuite::paper_signed();
-  config.signing = rekey::SigningMode::kBatch;
-  GroupKeyServer server(config, transport);
+  ShardedServerConfig config = plain_config();
+  config.base.suite = crypto::CryptoSuite::paper_signed();
+  config.base.signing = rekey::SigningMode::kBatch;
+  ShardedGroupKeyServer server(config, transport);
   ASSERT_NE(server.public_key(), nullptr);
   server.join(1);
   server.join(2);
@@ -169,15 +170,15 @@ TEST(Server, SignedServerExposesPublicKey) {
 
 TEST(Server, UnsignedServerHasNoPublicKey) {
   transport::NullTransport transport;
-  GroupKeyServer server(plain_config(), transport);
+  ShardedGroupKeyServer server(plain_config(), transport);
   EXPECT_EQ(server.public_key(), nullptr);
 }
 
 TEST(Server, StarConfigurationScalesLeaveCostLinearly) {
   transport::NullTransport transport;
-  ServerConfig config = ServerConfig::star(plain_config(
-      rekey::StrategyKind::kKeyOriented));
-  GroupKeyServer server(config, transport);
+  const ShardedServerConfig config{ServerConfig::star(
+      plain_config(rekey::StrategyKind::kKeyOriented).base)};
+  ShardedGroupKeyServer server(config, transport);
   for (UserId user = 1; user <= 32; ++user) server.join(user);
   server.stats().reset();
   server.leave(32);
@@ -188,9 +189,9 @@ TEST(Server, StarConfigurationScalesLeaveCostLinearly) {
 TEST(Server, ReproducibleWithSameSeed) {
   auto run = [] {
     transport::NullTransport transport;
-    GroupKeyServer server(plain_config(), transport);
+    ShardedGroupKeyServer server(plain_config(), transport);
     for (UserId user = 1; user <= 6; ++user) server.join(user);
-    return server.tree().group_key().secret;
+    return server.group_key().secret;
   };
   EXPECT_EQ(run(), run());
 }

@@ -11,7 +11,9 @@
 
 #include "common/error.h"
 #include "rekey/executor.h"
+#include "server/sharded_server.h"
 #include "storage/errors.h"
+#include "transport/transport.h"
 
 namespace keygraphs::server {
 namespace {
@@ -182,10 +184,6 @@ TEST(Spec, ParsesStorageKeys) {
 
   EXPECT_EQ(parse_server_spec("storage = memory\n").config.storage.kind,
             storage::Kind::kMemory);
-  EXPECT_EQ(parse_server_spec(
-                "storage = mmap\njournal_dir = /tmp/kg_journal\n")
-                .config.storage.kind,
-            storage::Kind::kMmap);
   EXPECT_EQ(parse_server_spec("storage = none\n").config.storage.kind,
             storage::Kind::kNone);
 
@@ -198,6 +196,14 @@ TEST(Spec, ParsesStorageKeys) {
 
 TEST(Spec, RejectsBadStorageValues) {
   EXPECT_THROW(parse_server_spec("storage = tape\n"), ProtocolError);
+  // The mmap backend was removed: its name is now an unknown backend.
+  try {
+    parse_server_spec("storage = mmap\njournal_dir = /tmp/kg_journal\n");
+    FAIL() << "expected ProtocolError for storage = mmap";
+  } catch (const ProtocolError& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown storage backend"),
+              std::string::npos);
+  }
   EXPECT_THROW(parse_server_spec("journal_dir =\n"), ProtocolError);
   EXPECT_THROW(parse_server_spec("snapshot_interval = soon\n"),
                ProtocolError);
@@ -207,15 +213,12 @@ TEST(Spec, RejectsBadStorageValues) {
 
 TEST(Spec, DiskStorageRequiresJournalDir) {
   // The cross-field check names the offending backend.
-  for (const char* kind : {"file", "mmap"}) {
-    try {
-      parse_server_spec(std::string("storage = ") + kind + "\n");
-      FAIL() << "expected ProtocolError for storage = " << kind;
-    } catch (const ProtocolError& error) {
-      EXPECT_NE(std::string(error.what()).find("requires journal_dir"),
-                std::string::npos);
-      EXPECT_NE(std::string(error.what()).find(kind), std::string::npos);
-    }
+  try {
+    parse_server_spec("storage = file\n");
+    FAIL() << "expected ProtocolError for storage = file";
+  } catch (const ProtocolError& error) {
+    EXPECT_NE(std::string(error.what()).find("file requires journal_dir"),
+              std::string::npos);
   }
   // A memory journal needs no directory.
   EXPECT_NO_THROW(parse_server_spec("storage = memory\n"));
@@ -233,8 +236,9 @@ TEST(Spec, UnwritableJournalDirFailsAtBoot) {
   const ServerSpec spec = parse_server_spec(
       "storage = file\njournal_dir = " + file + "/journal\n");
   transport::NullTransport transport;
-  EXPECT_THROW(GroupKeyServer server(spec.config, transport),
-               storage::StorageError);
+  EXPECT_THROW(
+      ShardedGroupKeyServer server(ShardedServerConfig{spec.config}, transport),
+      storage::StorageError);
   std::filesystem::remove(file);
 }
 
@@ -252,11 +256,12 @@ TEST(Spec, ParsedSpecBootsAServer) {
   const ServerSpec spec = parse_server_spec(
       "degree = 3\nstrategy = hybrid\nseed = 5\ninitial_size = 9\n");
   transport::NullTransport transport;
-  GroupKeyServer server(spec.config, transport, spec.access_control());
+  ShardedGroupKeyServer server(ShardedServerConfig{spec.config}, transport,
+                               spec.access_control());
   for (UserId user = 1; user <= spec.initial_size; ++user) {
     EXPECT_EQ(server.join(user), JoinResult::kGranted);
   }
-  EXPECT_EQ(server.tree().user_count(), 9u);
+  EXPECT_EQ(server.member_count(), 9u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Durable state: CRC framing, journal records, the three storage
-// backends, the DurableStore append/load/tail/compact lifecycle, and
-// whole-server crash recovery via rng-tape replay — including the typed
-// corruption errors (torn tail, CRC damage, epoch gaps) and byte-identical
-// restart on the disk backends.
+// Durable state: CRC framing, journal records, the storage backends, the
+// DurableStore append/load/tail/compact lifecycle, whole-server crash
+// recovery via rng-tape replay — including the typed corruption errors
+// (torn tail, CRC damage, epoch gaps) and byte-identical restart on the
+// file backend — and hot-standby promotion at K = 1 and K = 4.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,7 +16,7 @@
 
 #include "common/bytes.h"
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "server/sharded_server.h"
 #include "server/standby.h"
 #include "storage/backend.h"
@@ -154,8 +154,7 @@ class BackendTest : public ::testing::TestWithParam<const char*> {
     const std::string kind = GetParam();
     if (kind == "memory") return storage::make_memory_backend(lanes);
     dir_ = temp_dir(std::string(kind) + "_backend");
-    if (kind == "file") return storage::make_file_backend(dir_, lanes);
-    return storage::make_mmap_backend(dir_, lanes);
+    return storage::make_file_backend(dir_, lanes);
   }
   std::string dir_;
 };
@@ -205,10 +204,7 @@ TEST_P(BackendTest, SurvivesReopenWhenDiskBacked) {
   backend->append(0, bytes_of("after"));
   backend->sync(0);
   if (dir_.empty()) return;  // memory backend: nothing to reopen
-  const std::string kind = GetParam();
-  const auto reopened = kind == "file"
-                            ? storage::make_file_backend(dir_, 1)
-                            : storage::make_mmap_backend(dir_, 1);
+  const auto reopened = storage::make_file_backend(dir_, 1);
   EXPECT_EQ(reopened->generation(), 1u);
   EXPECT_EQ(reopened->snapshot_epoch(), 3u);
   ASSERT_TRUE(reopened->read_snapshot().has_value());
@@ -217,7 +213,7 @@ TEST_P(BackendTest, SurvivesReopenWhenDiskBacked) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
-                         ::testing::Values("memory", "file", "mmap"),
+                         ::testing::Values("memory", "file"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -351,18 +347,20 @@ TEST(DurableStore, DropTailAfterCutsTornBytes) {
 
 // --- Whole-server recovery ---------------------------------------------
 
-server::ServerConfig durable_config(std::uint64_t seed,
-                                    std::shared_ptr<StorageBackend> backend) {
-  server::ServerConfig config;
-  config.tree_degree = 4;
-  config.rng_seed = seed;
-  config.retransmit_window = 16;
-  config.recovery_rate = 0;
-  config.storage.backend = std::move(backend);
+server::ShardedServerConfig durable_config(
+    std::uint64_t seed, std::shared_ptr<StorageBackend> backend,
+    std::size_t shards = 1) {
+  server::ShardedServerConfig config;
+  config.shards = shards;
+  config.base.tree_degree = 4;
+  config.base.rng_seed = seed;
+  config.base.retransmit_window = 16;
+  config.base.recovery_rate = 0;
+  config.base.storage.backend = std::move(backend);
   return config;
 }
 
-void churn(server::GroupKeyServer& server) {
+void churn(server::ShardedGroupKeyServer& server) {
   for (UserId user = 1; user <= 12; ++user) server.join(user);
   server.leave(3);
   server.batch({20, 21, 22}, {5, 6});
@@ -372,18 +370,19 @@ void churn(server::GroupKeyServer& server) {
 TEST(ServerRecovery, ReplayRebuildsByteIdenticalState) {
   const auto backend = storage::make_memory_backend(1);
   transport::NullTransport transport;
-  server::GroupKeyServer primary(durable_config(77, backend), transport);
+  server::ShardedGroupKeyServer primary(durable_config(77, backend), transport);
   churn(primary);
   const Bytes expected = primary.snapshot();
   const std::uint64_t epoch = primary.epoch();
 
   // A replica with a *different* seed converges to the same bytes: every
   // key the original drew is replayed from the journaled rng tapes.
-  server::GroupKeyServer replica(durable_config(12345, backend), transport);
+  server::ShardedGroupKeyServer replica(durable_config(12345, backend),
+                                        transport);
   replica.recover_from_storage();
   EXPECT_EQ(replica.epoch(), epoch);
   EXPECT_EQ(replica.snapshot(), expected);
-  EXPECT_EQ(replica.tree().group_key(), primary.tree().group_key());
+  EXPECT_EQ(replica.group_key(), primary.group_key());
 
   // The replica keeps operating — and journals its own ops durably.
   replica.join(100);
@@ -393,7 +392,7 @@ TEST(ServerRecovery, ReplayRebuildsByteIdenticalState) {
 TEST(ServerRecovery, ResyncsAreNeverJournaled) {
   const auto backend = storage::make_memory_backend(1);
   transport::NullTransport transport;
-  server::GroupKeyServer server(durable_config(31, backend), transport);
+  server::ShardedGroupKeyServer server(durable_config(31, backend), transport);
   server.join(1);
   server.join(2);
   const std::size_t before = server.durable()->load(RecoveryOptions{})
@@ -407,10 +406,10 @@ TEST(ServerRecovery, ResyncsAreNeverJournaled) {
 TEST(ServerRecovery, ReplayRehydratesTheRetransmitWindow) {
   const auto backend = storage::make_memory_backend(1);
   transport::NullTransport transport;
-  server::GroupKeyServer primary(durable_config(55, backend), transport);
+  server::ShardedGroupKeyServer primary(durable_config(55, backend), transport);
   churn(primary);
 
-  server::GroupKeyServer replica(durable_config(55, backend), transport);
+  server::ShardedGroupKeyServer replica(durable_config(55, backend), transport);
   replica.recover_from_storage();
   // A member one epoch behind is served from the rehydrated sealed-bytes
   // ring — no resync fallback, exactly as the original server would.
@@ -421,12 +420,12 @@ TEST(ServerRecovery, ReplayRehydratesTheRetransmitWindow) {
 TEST(ServerRecovery, WrongAuthMasterFailsAsDivergence) {
   const auto backend = storage::make_memory_backend(1);
   transport::NullTransport transport;
-  server::GroupKeyServer primary(durable_config(41, backend), transport);
+  server::ShardedGroupKeyServer primary(durable_config(41, backend), transport);
   churn(primary);
 
-  server::ServerConfig wrong = durable_config(41, backend);
-  wrong.auth_master = bytes_of("not the same secret");
-  server::GroupKeyServer replica(wrong, transport);
+  server::ShardedServerConfig wrong = durable_config(41, backend);
+  wrong.base.auth_master = bytes_of("not the same secret");
+  server::ShardedGroupKeyServer replica(wrong, transport);
   EXPECT_THROW(replica.recover_from_storage(),
                storage::ReplayDivergenceError);
 }
@@ -434,9 +433,9 @@ TEST(ServerRecovery, WrongAuthMasterFailsAsDivergence) {
 TEST(ServerRecovery, SnapshotIntervalCompactsAndRecoveryUsesIt) {
   const auto backend = storage::make_memory_backend(1);
   transport::NullTransport transport;
-  server::ServerConfig config = durable_config(63, backend);
-  config.storage.snapshot_interval = 4;
-  server::GroupKeyServer primary(config, transport);
+  server::ShardedServerConfig config = durable_config(63, backend);
+  config.base.storage.snapshot_interval = 4;
+  server::ShardedGroupKeyServer primary(config, transport);
   for (UserId user = 1; user <= 10; ++user) primary.join(user);
 
   // 10 commits with interval 4: compacted at least twice, and the journal
@@ -447,7 +446,7 @@ TEST(ServerRecovery, SnapshotIntervalCompactsAndRecoveryUsesIt) {
   EXPECT_GT(log.snapshot_epoch, 0u);
   EXPECT_LT(log.records.size(), 10u);
 
-  server::GroupKeyServer replica(config, transport);
+  server::ShardedGroupKeyServer replica(config, transport);
   replica.recover_from_storage();
   EXPECT_EQ(replica.epoch(), primary.epoch());
   EXPECT_EQ(replica.snapshot(), primary.snapshot());
@@ -456,43 +455,24 @@ TEST(ServerRecovery, SnapshotIntervalCompactsAndRecoveryUsesIt) {
 TEST(ServerRecovery, FileBackendRestartIsByteIdentical) {
   const std::string dir = temp_dir("file_restart");
   transport::NullTransport transport;
-  server::ServerConfig config;
-  config.rng_seed = 99;
-  config.storage.kind = storage::Kind::kFile;
-  config.storage.journal_dir = dir;
-  config.storage.snapshot_interval = 6;
+  server::ShardedServerConfig config;
+  config.base.rng_seed = 99;
+  config.base.storage.kind = storage::Kind::kFile;
+  config.base.storage.journal_dir = dir;
+  config.base.storage.snapshot_interval = 6;
 
   Bytes expected;
   std::uint64_t epoch = 0;
   {
-    server::GroupKeyServer primary(config, transport);
+    server::ShardedGroupKeyServer primary(config, transport);
     churn(primary);
     expected = primary.snapshot();
     epoch = primary.epoch();
   }  // "crash": the process state is gone, only the journal dir remains
 
-  server::GroupKeyServer restarted(config, transport);
+  server::ShardedGroupKeyServer restarted(config, transport);
   restarted.recover_from_storage();
   EXPECT_EQ(restarted.epoch(), epoch);
-  EXPECT_EQ(restarted.snapshot(), expected);
-}
-
-TEST(ServerRecovery, MmapBackendRestartIsByteIdentical) {
-  const std::string dir = temp_dir("mmap_restart");
-  transport::NullTransport transport;
-  server::ServerConfig config;
-  config.rng_seed = 98;
-  config.storage.kind = storage::Kind::kMmap;
-  config.storage.journal_dir = dir;
-
-  Bytes expected;
-  {
-    server::GroupKeyServer primary(config, transport);
-    churn(primary);
-    expected = primary.snapshot();
-  }
-  server::GroupKeyServer restarted(config, transport);
-  restarted.recover_from_storage();
   EXPECT_EQ(restarted.snapshot(), expected);
 }
 
@@ -501,15 +481,15 @@ TEST(ServerRecovery, MmapBackendRestartIsByteIdentical) {
 TEST(JournalCorruption, TruncatedTailStrictThrowsTolerantDropsOneOp) {
   const std::string dir = temp_dir("torn_tail");
   transport::NullTransport transport;
-  server::ServerConfig config;
-  config.rng_seed = 71;
-  config.storage.kind = storage::Kind::kFile;
-  config.storage.journal_dir = dir;
-  config.storage.snapshot_interval = 0;  // keep every record on disk
+  server::ShardedServerConfig config;
+  config.base.rng_seed = 71;
+  config.base.storage.kind = storage::Kind::kFile;
+  config.base.storage.journal_dir = dir;
+  config.base.storage.snapshot_interval = 0;  // keep every record on disk
 
   std::uint64_t epoch = 0;
   {
-    server::GroupKeyServer primary(config, transport);
+    server::ShardedGroupKeyServer primary(config, transport);
     for (UserId user = 1; user <= 8; ++user) primary.join(user);
     epoch = primary.epoch();
   }
@@ -519,11 +499,11 @@ TEST(JournalCorruption, TruncatedTailStrictThrowsTolerantDropsOneOp) {
   std::filesystem::resize_file(wal, size - 5);
 
   {
-    server::GroupKeyServer strict(config, transport);
+    server::ShardedGroupKeyServer strict(config, transport);
     EXPECT_THROW(strict.recover_from_storage(),
                  storage::JournalTruncatedError);
   }
-  server::GroupKeyServer tolerant(config, transport);
+  server::ShardedGroupKeyServer tolerant(config, transport);
   RecoveryOptions options;
   options.tolerate_torn_tail = true;
   tolerant.recover_from_storage(options);
@@ -534,7 +514,7 @@ TEST(JournalCorruption, TruncatedTailStrictThrowsTolerantDropsOneOp) {
   tolerant.join(200);
   EXPECT_EQ(tolerant.epoch(), epoch);
 
-  server::GroupKeyServer again(config, transport);
+  server::ShardedGroupKeyServer again(config, transport);
   again.recover_from_storage();
   EXPECT_EQ(again.snapshot(), tolerant.snapshot());
 }
@@ -542,13 +522,13 @@ TEST(JournalCorruption, TruncatedTailStrictThrowsTolerantDropsOneOp) {
 TEST(JournalCorruption, CrcDamageMidSegmentFailsRecoveryTyped) {
   const std::string dir = temp_dir("bit_rot");
   transport::NullTransport transport;
-  server::ServerConfig config;
-  config.rng_seed = 72;
-  config.storage.kind = storage::Kind::kFile;
-  config.storage.journal_dir = dir;
-  config.storage.snapshot_interval = 0;
+  server::ShardedServerConfig config;
+  config.base.rng_seed = 72;
+  config.base.storage.kind = storage::Kind::kFile;
+  config.base.storage.journal_dir = dir;
+  config.base.storage.snapshot_interval = 0;
   {
-    server::GroupKeyServer primary(config, transport);
+    server::ShardedGroupKeyServer primary(config, transport);
     for (UserId user = 1; user <= 6; ++user) primary.join(user);
   }
   const std::string wal = journal_file(dir);
@@ -563,7 +543,7 @@ TEST(JournalCorruption, CrcDamageMidSegmentFailsRecoveryTyped) {
     byte = static_cast<char>(byte ^ 0x40);
     file.write(&byte, 1);
   }
-  server::GroupKeyServer replica(config, transport);
+  server::ShardedGroupKeyServer replica(config, transport);
   // Tolerance covers torn tails only — mid-segment damage always throws.
   RecoveryOptions tolerant;
   tolerant.tolerate_torn_tail = true;
@@ -577,7 +557,8 @@ TEST(JournalCorruption, MissingEpochFailsRecoveryTyped) {
   const auto backend = storage::make_memory_backend(1);
   transport::NullTransport transport;
   {
-    server::GroupKeyServer primary(durable_config(73, backend), transport);
+    server::ShardedGroupKeyServer primary(durable_config(73, backend),
+                                          transport);
     for (UserId user = 1; user <= 4; ++user) primary.join(user);
   }
   // Rewrite the journal without the epoch-3 frame.
@@ -589,7 +570,7 @@ TEST(JournalCorruption, MissingEpochFailsRecoveryTyped) {
     if (record.epoch == 3) continue;
     backend->append(0, record.encode_frame());
   }
-  server::GroupKeyServer replica(durable_config(73, backend), transport);
+  server::ShardedGroupKeyServer replica(durable_config(73, backend), transport);
   EXPECT_THROW(replica.recover_from_storage(), storage::EpochGapError);
 }
 
@@ -640,22 +621,24 @@ TEST(ShardedRecovery, JournalOnlyReplayAcrossLanes) {
             server::NackOutcome::kRetransmitted);
 }
 
-TEST(ShardedRecovery, SingleShardJournalInteroperates) {
-  // K = 1 sharded output is byte-identical to GroupKeyServer, and so is
-  // its journal: either server can recover the other's log.
-  const auto backend = storage::make_memory_backend(1);
+TEST(ShardedRecovery, SnapshotsAreSingleShardOnly) {
+  // At K > 1 the journal has one lane per shard and no snapshot format:
+  // snapshot_interval never compacts, snapshot()/restore() refuse, and a
+  // snapshot found in a multi-lane journal fails recovery typed.
+  const auto backend = storage::make_memory_backend(4);
   transport::NullTransport transport;
-  server::GroupKeyServer flat(durable_config(83, backend), transport);
-  churn(flat);
+  server::ShardedServerConfig config = durable_config(85, backend, 4);
+  config.base.storage.snapshot_interval = 2;
+  server::ShardedGroupKeyServer primary(config, transport);
+  for (UserId user = 1; user <= 12; ++user) primary.join(user);
+  EXPECT_EQ(backend->generation(), 0u);
+  EXPECT_FALSE(backend->read_snapshot().has_value());
+  EXPECT_THROW((void)primary.snapshot(), ProtocolError);
+  EXPECT_THROW(primary.restore(Bytes(16, 0)), ProtocolError);
 
-  server::ShardedServerConfig config;
-  config.shards = 1;
-  config.base = durable_config(83, backend);
-  server::ShardedGroupKeyServer sharded(config, transport);
-  sharded.recover_from_storage();
-  EXPECT_EQ(sharded.epoch(), flat.epoch());
-  EXPECT_EQ(sharded.group_key(), flat.tree().group_key());
-  EXPECT_EQ(sharded.member_count(), flat.tree().user_count());
+  backend->compact(12, bytes_of("not a sharded snapshot"));
+  server::ShardedGroupKeyServer replica(config, transport);
+  EXPECT_THROW(replica.recover_from_storage(), storage::JournalCorruptError);
 }
 
 // --- Hot standby --------------------------------------------------------
@@ -663,7 +646,7 @@ TEST(ShardedRecovery, SingleShardJournalInteroperates) {
 TEST(Standby, TailsThePrimaryAndPromotesSeamlessly) {
   const auto backend = storage::make_memory_backend(1);
   transport::NullTransport transport;
-  auto primary = std::make_unique<server::GroupKeyServer>(
+  auto primary = std::make_unique<server::ShardedGroupKeyServer>(
       durable_config(91, backend), transport);
   server::StandbyServer standby(durable_config(91, backend), transport);
 
@@ -679,7 +662,7 @@ TEST(Standby, TailsThePrimaryAndPromotesSeamlessly) {
   const std::uint64_t at_death = primary->epoch();
   primary.reset();  // the primary dies
 
-  server::GroupKeyServer& promoted = standby.promote();
+  server::ShardedGroupKeyServer& promoted = standby.promote();
   EXPECT_TRUE(standby.promoted());
   EXPECT_EQ(promoted.epoch(), at_death);
   // The promoted server continues the same epoch stream and journals its
@@ -687,14 +670,69 @@ TEST(Standby, TailsThePrimaryAndPromotesSeamlessly) {
   promoted.join(50);
   EXPECT_EQ(promoted.epoch(), at_death + 1);
 
-  server::GroupKeyServer replica(durable_config(91, backend), transport);
+  server::ShardedGroupKeyServer replica(durable_config(91, backend), transport);
   replica.recover_from_storage();
   EXPECT_EQ(replica.snapshot(), promoted.snapshot());
 }
 
+// Standby promotion over a sharded journal: the standby tails K = 4 lanes
+// (preload chunks included) merged by commit sequence, matches the
+// primary's epoch and every member's keyset, continues the stitched epoch
+// stream after promotion, and a cold replica rebuilds the same group.
+TEST(Standby, TailsAShardedPrimaryAndPromotes) {
+  const auto backend = storage::make_memory_backend(4);
+  transport::NullTransport transport;
+  auto primary = std::make_unique<server::ShardedGroupKeyServer>(
+      durable_config(93, backend, 4), transport);
+  server::StandbyServer standby(durable_config(93, backend, 4), transport);
+
+  std::vector<UserId> preloaded;
+  for (UserId user = 1; user <= 64; ++user) preloaded.push_back(user);
+  primary->preload(preloaded);
+  for (UserId user = 100; user <= 111; ++user) primary->join(user);
+  EXPECT_GT(standby.poll(), 0u);
+  EXPECT_EQ(standby.epoch(), primary->epoch());
+
+  primary->leave(7);
+  primary->batch({200, 201, 202}, {8, 103});
+  primary->leave(110);
+  EXPECT_GT(standby.poll(), 0u);
+  EXPECT_EQ(standby.epoch(), primary->epoch());
+  EXPECT_EQ(standby.server().member_count(), primary->member_count());
+  EXPECT_EQ(standby.server().group_key(), primary->group_key());
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    for (const UserId user : primary->shard_view(shard)->users()) {
+      EXPECT_EQ(standby.server().keyset(user), primary->keyset(user))
+          << "user " << user;
+    }
+  }
+
+  const std::uint64_t at_death = primary->epoch();
+  primary.reset();  // the primary dies
+
+  server::ShardedGroupKeyServer& promoted = standby.promote();
+  EXPECT_EQ(promoted.epoch(), at_death);
+  promoted.join(300);
+  promoted.leave(1);
+  EXPECT_EQ(promoted.epoch(), at_death + 2);
+
+  // A cold replica with another seed replays the dead primary's lanes and
+  // the promoted server's own commits into the same group.
+  server::ShardedGroupKeyServer replica(durable_config(94, backend, 4),
+                                        transport);
+  replica.recover_from_storage();
+  EXPECT_EQ(replica.epoch(), promoted.epoch());
+  EXPECT_EQ(replica.group_key(), promoted.group_key());
+  EXPECT_EQ(replica.member_count(), promoted.member_count());
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_EQ(replica.shard_view(shard)->users(),
+              promoted.shard_view(shard)->users());
+  }
+}
+
 TEST(Standby, RequiresStorage) {
   transport::NullTransport transport;
-  server::ServerConfig config;
+  server::ShardedServerConfig config;
   EXPECT_THROW(server::StandbyServer standby(config, transport),
                storage::StorageError);
 }

@@ -12,7 +12,7 @@
 
 #include "client/client.h"
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "telemetry/metrics.h"
 
 namespace keygraphs::transport {
@@ -205,7 +205,8 @@ TEST(TcpEndToEnd, JoinRekeyLeave) {
   TcpServerTransport transport;
   server::ServerConfig config;
   config.rng_seed = 21;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
 
   auto make_member = [&](UserId user) {
     auto connection = std::make_unique<TcpConnection>(
@@ -213,14 +214,15 @@ TEST(TcpEndToEnd, JoinRekeyLeave) {
     transport.register_user(user, std::move(*listener.accept(2000)));
     client::ClientConfig client_config;
     client_config.user = user;
-    client_config.suite = server.config().suite;
+    client_config.suite = server.config().base.suite;
     client_config.root = server.root_id();
     client_config.verify = false;
     auto logic =
         std::make_unique<client::GroupClient>(client_config, nullptr);
     logic->install_individual_key(SymmetricKey{
         individual_key_id(user), 1,
-        server.auth().individual_key(user, server.config().suite.key_size())});
+        server.auth().individual_key(
+            user, server.config().base.suite.key_size())});
     return std::make_pair(std::move(connection), std::move(logic));
   };
 
@@ -244,7 +246,7 @@ TEST(TcpEndToEnd, JoinRekeyLeave) {
   pump(*conn1, *alice);
   EXPECT_NE(alice->group_key()->secret, bob->group_key()->secret);
   EXPECT_EQ(alice->group_key()->secret,
-            server.tree().group_key().secret);
+            server.group_key().secret);
 }
 
 }  // namespace

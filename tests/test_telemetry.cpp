@@ -15,7 +15,9 @@
 
 #include "json_check.h"
 #include "keygraph/key_tree.h"
+#include "server/sharded_server.h"
 #include "sim/experiment.h"
+#include "transport/transport.h"
 
 namespace keygraphs::telemetry {
 namespace {
@@ -462,6 +464,42 @@ TEST(Telemetry, StageSumTracksMeasuredProcessingTime) {
 
   const double processing_us = result.all.avg_processing_ms * 1000.0;
   const double stage_sum_us = result.all.measured_stage_us();
+  ASSERT_GT(processing_us, 0.0);
+  ASSERT_GT(stage_sum_us, 0.0);
+  const double ratio = stage_sum_us / processing_us;
+  EXPECT_GT(ratio, 0.6) << "stages miss too much of the measured time";
+  EXPECT_LT(ratio, 1.1) << "stages double-count the measured time";
+}
+
+// The same bar at K = 4: every operation — stitched joins and leaves, a
+// multi-shard batch, resyncs — carries a breakdown from its entry call's
+// collector, and the stages account for its measured time.
+TEST(Telemetry, StageSumTracksProcessingTimeAtFourShards) {
+  EnabledGuard guard;
+  set_enabled(true);
+  server::ShardedServerConfig config;
+  config.shards = 4;
+  config.base.rng_seed = 404;
+  config.base.suite = crypto::CryptoSuite::paper_signed();
+  config.base.signing = rekey::SigningMode::kBatch;
+  transport::NullTransport transport;
+  server::ShardedGroupKeyServer server(config, transport);
+  for (UserId user = 1; user <= 32; ++user) server.join(user);
+  server.stats().reset();
+  for (UserId user = 100; user < 120; ++user) {
+    server.join(user);
+    server.leave(user - 90);
+  }
+  server.batch({200, 201, 202, 203}, {1, 2, 3, 4});
+  server.resync(5);
+
+  ASSERT_GT(server.stats().size(), 40u);
+  for (const server::OpRecord& op : server.stats().records()) {
+    EXPECT_GT(op.stage_us[static_cast<std::size_t>(Stage::kSend)], 0.0);
+  }
+  const server::Summary all = server.stats().summarize_all();
+  const double processing_us = all.avg_processing_ms * 1000.0;
+  const double stage_sum_us = all.measured_stage_us();
   ASSERT_GT(processing_us, 0.0);
   ASSERT_GT(stage_sum_us, 0.0);
   const double ratio = stage_sum_us / processing_us;

@@ -8,11 +8,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "client/client.h"
 #include "common/error.h"
 #include "json_check.h"
-#include "server/server.h"
+#include "rekey/codec.h"
+#include "server/sharded_server.h"
 #include "telemetry/convergence.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -67,7 +69,7 @@ struct Harness {
   std::uint64_t now = 1'000'000;
   server::ServerConfig config;
   transport::InProcNetwork network;
-  std::unique_ptr<server::GroupKeyServer> server;
+  std::unique_ptr<server::ShardedGroupKeyServer> server;
   std::map<UserId, std::unique_ptr<client::GroupClient>> members;
   std::map<UserId, Bytes> last_raw;  // last raw datagram per member
 
@@ -76,7 +78,8 @@ struct Harness {
     config.rng_seed = 7;
     config.trace_propagation = propagate;
     config.clock_us = [this] { return now; };
-    server = std::make_unique<server::GroupKeyServer>(config, network);
+    server = std::make_unique<server::ShardedGroupKeyServer>(
+        server::ShardedServerConfig{config}, network);
     for (UserId user = 1; user <= group_size; ++user) server->join(user);
   }
 
@@ -93,7 +96,7 @@ struct Harness {
     member->install_individual_key(SymmetricKey{
         individual_key_id(user), 1,
         server->auth().individual_key(user, config.suite.key_size())});
-    member->admit_snapshot(server->tree().keyset(user), server->epoch());
+    member->admit_snapshot(server->keyset(user), server->epoch());
     client::GroupClient& ref = *member;
     network.attach_client(user, [this, &ref, user](BytesView datagram) {
       last_raw[user] = Bytes(datagram.begin(), datagram.end());
@@ -207,6 +210,58 @@ TEST(TracePropagation, ResyncRepliesCarryTheResyncKind) {
   ASSERT_TRUE(raw.trace.has_value());
   EXPECT_EQ(raw.trace->op_kind,
             static_cast<std::uint8_t>(rekey::RekeyKind::kResync));
+}
+
+/// Keeps every datagram the server hands to the transport.
+class CapturingTransport final : public transport::ServerTransport {
+ public:
+  void deliver(const rekey::Recipient& to, BytesView datagram,
+               const Resolver& resolve) override {
+    (void)to;
+    (void)resolve;
+    sent.emplace_back(datagram.begin(), datagram.end());
+  }
+  std::vector<Bytes> sent;
+};
+
+// Every datagram — stitched multicasts and welcomes at K = 1 and K = 4,
+// batches, NACK replays from the window, resyncs and the NACK's resync
+// fallback — carries a trace extension whose epoch is its header epoch.
+TEST(TracePropagation, EveryDatagramCarriesItsHeaderEpoch) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    server::ShardedServerConfig config;
+    config.shards = shards;
+    config.base.rng_seed = 7;
+    config.base.trace_propagation = true;
+    config.base.retransmit_window = 4;
+    config.base.recovery_rate = 0;
+    config.base.clock_us = [] { return std::uint64_t{1'000'000}; };
+    CapturingTransport wire;
+    server::ShardedGroupKeyServer server(config, wire);
+    for (UserId user = 1; user <= 12; ++user) server.join(user);
+    server.leave(3);
+    server.batch({20, 21}, {4, 5});
+    server.resync(6);
+    EXPECT_EQ(server.handle_nack(7, server.epoch() - 1),
+              server::NackOutcome::kRetransmitted);
+    EXPECT_EQ(server.handle_nack(8, 0), server::NackOutcome::kResynced);
+
+    const rekey::RekeyOpener opener(nullptr);
+    std::size_t resyncs = 0;
+    ASSERT_FALSE(wire.sent.empty());
+    for (const Bytes& bytes : wire.sent) {
+      const rekey::Datagram datagram = rekey::Datagram::decode(bytes);
+      ASSERT_TRUE(datagram.trace.has_value()) << "K = " << shards;
+      EXPECT_EQ(datagram.trace->epoch,
+                opener.open(datagram.payload, false).message.epoch)
+          << "K = " << shards;
+      if (datagram.trace->op_kind ==
+          static_cast<std::uint8_t>(rekey::RekeyKind::kResync)) {
+        ++resyncs;
+      }
+    }
+    EXPECT_EQ(resyncs, 2u) << "K = " << shards;
+  }
 }
 
 TEST(TracePropagation, DisabledTelemetryStampsNoTrace) {

@@ -64,11 +64,6 @@ TEST(TreeView, EpochCountsMutationsOnStandaloneTree) {
   tree.join(2, ik(2));
   tree.leave(1);
   EXPECT_EQ(tree.view()->epoch(), 3u);
-  tree.stamp_next_epoch(77);
-  tree.join(3, ik(3));
-  EXPECT_EQ(tree.view()->epoch(), 77u);
-  tree.join(4, ik(4));  // back to auto-increment from the stamp
-  EXPECT_EQ(tree.view()->epoch(), 78u);
 }
 
 TEST(TreeView, ReadsMatchTreeAfterChurn) {

@@ -9,7 +9,7 @@
 
 #include "client/client.h"
 #include "common/error.h"
-#include "server/server.h"
+#include "server/sharded_server.h"
 #include "telemetry/metrics.h"
 #include "transport/fault.h"
 
@@ -264,7 +264,8 @@ TEST(UdpWireIdentity, SendmmsgAndSendtoProduceIdenticalBytes) {
     // Pinned clock: the wire carries timestamps, and identity across the
     // two sessions must only depend on the send path under test.
     config.clock_us = [] { return std::uint64_t{1'722'000'000'000'000}; };
-    server::GroupKeyServer server(config, faulty);
+    server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                         faulty);
 
     SessionResult result;
     std::vector<UdpSocket> clients(kClients);
@@ -317,7 +318,8 @@ TEST(UdpEndToEnd, JoinRekeyLeaveSession) {
   server::ServerConfig config;
   config.strategy = rekey::StrategyKind::kGroupOriented;
   config.rng_seed = 33;
-  server::GroupKeyServer server(config, transport);
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
+                                       transport);
 
   struct NetClient {
     UdpSocket socket;
@@ -327,14 +329,15 @@ TEST(UdpEndToEnd, JoinRekeyLeaveSession) {
     auto net = std::make_unique<NetClient>();
     client::ClientConfig client_config;
     client_config.user = user;
-    client_config.suite = server.config().suite;
+    client_config.suite = server.config().base.suite;
     client_config.root = server.root_id();
     client_config.verify = false;
     net->logic =
         std::make_unique<client::GroupClient>(client_config, nullptr);
     net->logic->install_individual_key(SymmetricKey{
         individual_key_id(user), 1,
-        server.auth().individual_key(user, server.config().suite.key_size())});
+        server.auth().individual_key(
+            user, server.config().base.suite.key_size())});
     return net;
   };
 

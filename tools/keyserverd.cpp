@@ -35,6 +35,7 @@
 // `telemetry_period` seconds and whenever it receives SIGUSR1; with
 // `telemetry = off` (the default) the instrumentation is disabled entirely.
 // Stop with Ctrl-C.
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -45,6 +46,7 @@
 #include "common/error.h"
 #include "common/io.h"
 #include "server/request.h"
+#include "server/sharded_server.h"
 #include "server/spec.h"
 #include "telemetry/convergence.h"
 #include "telemetry/export.h"
@@ -65,14 +67,18 @@ void handle_signal(int) { g_stop = 1; }
 // notices it on its next pass, so the dump never races request handling.
 void handle_dump_signal(int) { g_dump = 1; }
 
-void print_stats(const server::GroupKeyServer& server) {
+void print_stats(const server::ShardedGroupKeyServer& server) {
   const server::Summary joins =
       server.stats().summarize(rekey::RekeyKind::kJoin);
   const server::Summary leaves =
       server.stats().summarize(rekey::RekeyKind::kLeave);
+  std::size_t height = 0;
+  for (std::size_t shard = 0; shard < server.shard_count(); ++shard) {
+    height = std::max(height, server.shard_view(shard)->height());
+  }
   std::printf("[stats] members=%zu height=%zu epoch=%llu | joins=%zu "
               "(%.2f ms, %.1f enc) leaves=%zu (%.2f ms, %.1f enc)\n",
-              server.tree_view()->user_count(), server.tree_view()->height(),
+              server.member_count(), height,
               static_cast<unsigned long long>(server.epoch()),
               joins.operations, joins.avg_processing_ms,
               joins.avg_encryptions, leaves.operations,
@@ -138,8 +144,8 @@ int main(int argc, char** argv) {
       spec.port != 0 ? transport::UdpSocket(spec.port)
                      : transport::UdpSocket();
   transport::UdpServerTransport transport(socket);
-  server::GroupKeyServer server(spec.config, transport,
-                                spec.access_control());
+  server::ShardedGroupKeyServer server(server::ShardedServerConfig{spec.config},
+                                       transport, spec.access_control());
 
   // Crash recovery: rebuild state from the journal before serving (or
   // admitting the initial cohort — on a restart those users are already
@@ -154,7 +160,7 @@ int main(int argc, char** argv) {
       std::printf("keyserverd: recovered epoch %llu, %zu members from %s "
                   "journal\n",
                   static_cast<unsigned long long>(server.epoch()),
-                  server.tree_view()->user_count(),
+                  server.member_count(),
                   server.durable()->backend().name());
     } catch (const storage::StorageError& error) {
       std::fprintf(stderr, "keyserverd: journal recovery failed: %s\n",
