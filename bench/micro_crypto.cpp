@@ -1,8 +1,9 @@
 // Microbenchmarks of the crypto substrate (google-benchmark): the building
 // blocks whose relative costs explain the paper's Table 4 and Figure 11 —
-// a DES key encryption is microseconds while an RSA-512 signature is
-// hundreds of microseconds, which is why batch signing wins and why the
-// server's time is signature-bound whenever signing is enabled.
+// a DES key encryption is well under a microsecond while an RSA-512
+// signature (CRT over the 64-bit windowed Montgomery kernel) costs tens of
+// microseconds, which is why batch signing wins and why one signature is
+// still the largest single cost of a signed rekey.
 //
 // After the google-benchmark tables, main() emits one JSON line per block
 // primitive (blocks/sec and schedule expansions/sec, measured over a

@@ -19,6 +19,16 @@ constexpr std::uint32_t kSmallPrimes[] = {
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
 
+/// Packs 32-bit limbs (little-endian) into `k` 64-bit limbs, zero-padded.
+void widen(const std::vector<std::uint32_t>& in, std::uint64_t* out,
+           std::size_t k) {
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t lo = 2 * i;
+    out[i] = (lo < in.size() ? in[lo] : 0) |
+             (lo + 1 < in.size() ? std::uint64_t{in[lo + 1]} << 32 : 0);
+  }
+}
+
 }  // namespace
 
 BigInt::BigInt(std::uint64_t value) {
@@ -413,54 +423,61 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
   if (!modulus.is_odd() || modulus <= BigInt{1}) {
     throw CryptoError("Montgomery: modulus must be odd and > 1");
   }
-  k_ = modulus.limbs_.size();
+  k_ = (modulus.limbs_.size() + 1) / 2;
+  n_.resize(k_);
+  widen(modulus.limbs_, n_.data(), k_);
 
-  // n0_inv = -N^-1 mod 2^32 via Newton iteration (5 steps suffice for 32b).
-  const std::uint32_t n0 = modulus.limbs_[0];
-  std::uint32_t inv = 1;
-  for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
-  n0_inv_ = ~inv + 1;  // negate mod 2^32
+  // n0_inv = -N^-1 mod 2^64 via Newton iteration: each step doubles the
+  // correct low bits, 1 -> 64 in six steps.
+  Limb inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - n_[0] * inv;
+  n0_inv_ = ~inv + 1;
 
-  const BigInt r = BigInt{1} << (32 * k_);
-  r_mod_n_ = r % modulus_;
-  r2_mod_n_ = (r_mod_n_ * r_mod_n_) % modulus_;
+  const BigInt r_mod_n = (BigInt{1} << (64 * k_)) % modulus_;
+  r_mod_n_.resize(k_);
+  load(r_mod_n, r_mod_n_.data());
+  r2_mod_n_.resize(k_);
+  load((r_mod_n * r_mod_n) % modulus_, r2_mod_n_.data());
 }
 
-void Montgomery::mont_mul(const Limbs& a, const Limbs& b, Limbs& out) const {
-  // CIOS: t has k+2 limbs.
-  std::vector<std::uint64_t> t(k_ + 2, 0);
-  const auto& n = modulus_.limbs_;
+void Montgomery::load(const BigInt& value, Limb* out) const {
+  BigInt reduced;
+  const BigInt* source = &value;
+  if (value >= modulus_) {
+    reduced = value % modulus_;
+    source = &reduced;
+  }
+  widen(source->limbs_, out, k_);
+}
+
+void Montgomery::mont_mul(const Limb* a, const Limb* b, Limb* out,
+                          Limb* t) const {
+  // CIOS with the multiply and reduce passes fused: row i adds a[i] * b
+  // and m * N to t in one sweep and shifts t down one limb as it goes.
+  using Wide = unsigned __int128;
+  const Limb* n = n_.data();
+  std::fill(t, t + k_ + 1, Limb{0});
   for (std::size_t i = 0; i < k_; ++i) {
-    // t += a[i] * b
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a[i];
-    for (std::size_t j = 0; j < k_; ++j) {
-      const std::uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = cur & 0xffffffffu;
-      carry = cur >> 32;
+    const Limb ai = a[i];
+    Wide product = static_cast<Wide>(ai) * b[0] + t[0];
+    const Limb m = static_cast<Limb>(product) * n0_inv_;
+    Wide reduced = static_cast<Wide>(m) * n[0] + static_cast<Limb>(product);
+    Limb carry = static_cast<Limb>(product >> 64);
+    Limb reduce_carry = static_cast<Limb>(reduced >> 64);
+    for (std::size_t j = 1; j < k_; ++j) {
+      product = static_cast<Wide>(ai) * b[j] + t[j] + carry;
+      carry = static_cast<Limb>(product >> 64);
+      reduced = static_cast<Wide>(m) * n[j] + static_cast<Limb>(product) +
+                reduce_carry;
+      reduce_carry = static_cast<Limb>(reduced >> 64);
+      t[j - 1] = static_cast<Limb>(reduced);
     }
-    std::uint64_t cur = t[k_] + carry;
-    t[k_] = cur & 0xffffffffu;
-    t[k_ + 1] += cur >> 32;
-
-    // m = t[0] * n0_inv mod 2^32 ; t += m * n ; t >>= 32
-    const std::uint64_t m =
-        (t[0] * n0_inv_) & 0xffffffffu;
-    carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const std::uint64_t cur2 = t[j] + m * n[j] + carry;
-      t[j] = cur2 & 0xffffffffu;
-      carry = cur2 >> 32;
-    }
-    cur = t[k_] + carry;
-    t[k_] = cur & 0xffffffffu;
-    t[k_ + 1] += cur >> 32;
-
-    for (std::size_t j = 0; j <= k_; ++j) t[j] = t[j + 1];
-    t[k_ + 1] = 0;
+    const Wide top = static_cast<Wide>(t[k_]) + carry + reduce_carry;
+    t[k_ - 1] = static_cast<Limb>(top);
+    t[k_] = static_cast<Limb>(top >> 64);
   }
 
-  // t < 2N at this point; subtract N if needed.
+  // t < 2N here; subtract N once if t >= N.
   bool ge = t[k_] != 0;
   if (!ge) {
     ge = true;
@@ -471,59 +488,68 @@ void Montgomery::mont_mul(const Limbs& a, const Limbs& b, Limbs& out) const {
       }
     }
   }
-  out.assign(k_, 0);
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      const std::int64_t diff =
-          static_cast<std::int64_t>(t[i]) - static_cast<std::int64_t>(n[i]) -
-          borrow;
-      out[i] = static_cast<std::uint32_t>(diff & 0xffffffff);
-      borrow = diff < 0 ? 1 : 0;
-    }
-  } else {
-    for (std::size_t i = 0; i < k_; ++i) {
-      out[i] = static_cast<std::uint32_t>(t[i]);
-    }
+  if (!ge) {
+    std::copy(t, t + k_, out);
+    return;
   }
-}
-
-Montgomery::Limbs Montgomery::to_mont(const BigInt& value) const {
-  Limbs v = (value % modulus_).limbs_;
-  v.resize(k_, 0);
-  Limbs r2 = r2_mod_n_.limbs_;
-  r2.resize(k_, 0);
-  Limbs out;
-  mont_mul(v, r2, out);
-  return out;
-}
-
-BigInt Montgomery::from_mont(const Limbs& value) const {
-  Limbs one(k_, 0);
-  one[0] = 1;
-  Limbs out;
-  mont_mul(value, one, out);
-  BigInt result;
-  result.limbs_ = out;
-  result.trim();
-  return result;
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < k_; ++i) {
+    const Limb diff = t[i] - n[i];
+    const Limb next = (t[i] < n[i]) | (diff < borrow);
+    out[i] = diff - borrow;
+    borrow = next;
+  }
 }
 
 BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exponent) const {
-  if (exponent.is_zero()) return BigInt{1} % modulus_;
-  const Limbs base_m = to_mont(base);
-  Limbs acc = r_mod_n_.limbs_;  // 1 in Montgomery form
-  acc.resize(k_, 0);
-  Limbs tmp;
-  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
-    mont_mul(acc, acc, tmp);
-    acc.swap(tmp);
-    if (exponent.bit(i)) {
-      mont_mul(acc, base_m, tmp);
-      acc.swap(tmp);
-    }
+  constexpr std::size_t kWindow = 4;  // divides 32: no window spans limbs
+  constexpr std::size_t kTable = std::size_t{1} << kWindow;
+  if (exponent.is_zero()) return BigInt{1};
+
+  // One scratch buffer: the window table, the accumulator, a product
+  // target and the CIOS row.
+  std::vector<Limb> scratch((kTable + 2) * k_ + k_ + 1);
+  Limb* const table = scratch.data();
+  Limb* acc = table + kTable * k_;
+  Limb* tmp = acc + k_;
+  Limb* const row = tmp + k_;
+
+  // table[w] = base^w in Montgomery form; table[0] = R mod N.
+  std::copy(r_mod_n_.begin(), r_mod_n_.end(), table);
+  load(base, acc);
+  mont_mul(acc, r2_mod_n_.data(), table + k_, row);
+  for (std::size_t w = 2; w < kTable; ++w) {
+    mont_mul(table + (w - 1) * k_, table + k_, table + w * k_, row);
   }
-  return from_mont(acc);
+
+  const auto window = [&](std::size_t index) {
+    const std::size_t bit = index * kWindow;
+    return (exponent.limbs_[bit / 32] >> (bit % 32)) & (kTable - 1);
+  };
+  std::size_t windows = (exponent.bit_length() + kWindow - 1) / kWindow;
+  std::copy(table + window(windows - 1) * k_,
+            table + (window(windows - 1) + 1) * k_, acc);
+  while (windows-- > 1) {
+    for (std::size_t s = 0; s < kWindow; ++s) {
+      mont_mul(acc, acc, tmp, row);
+      std::swap(acc, tmp);
+    }
+    mont_mul(acc, table + window(windows - 1) * k_, tmp, row);
+    std::swap(acc, tmp);
+  }
+
+  // Out of Montgomery form: multiply by plain 1.
+  std::fill(tmp, tmp + k_, Limb{0});
+  tmp[0] = 1;
+  mont_mul(acc, tmp, table, row);
+  BigInt result;
+  result.limbs_.resize(2 * k_);
+  for (std::size_t i = 0; i < k_; ++i) {
+    result.limbs_[2 * i] = static_cast<std::uint32_t>(table[i]);
+    result.limbs_[2 * i + 1] = static_cast<std::uint32_t>(table[i] >> 32);
+  }
+  result.trim();
+  return result;
 }
 
 BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exponent,

@@ -4,6 +4,10 @@
 // exactly what RSA needs: schoolbook multiply, Knuth Algorithm D division,
 // Montgomery modular exponentiation, extended-GCD modular inverse, and
 // Miller–Rabin primality with safe-margin round counts.
+//
+// BigInt stores 32-bit limbs; the Montgomery kernel, where RSA signing and
+// key generation spend their time, converts to 64-bit limbs on entry and
+// multiplies with 128-bit products over a fixed 4-bit window.
 #pragma once
 
 #include <compare>
@@ -67,8 +71,9 @@ class BigInt {
   /// Quotient and remainder in one pass. Throws Error on division by zero.
   static std::pair<BigInt, BigInt> divmod(const BigInt& a, const BigInt& b);
 
-  /// (base ^ exponent) mod modulus. Montgomery ladder for odd moduli,
-  /// classic square-and-multiply otherwise. Throws on zero modulus.
+  /// (base ^ exponent) mod modulus. Montgomery windowed exponentiation for
+  /// odd moduli, classic square-and-multiply otherwise. Throws on zero
+  /// modulus.
   static BigInt mod_exp(const BigInt& base, const BigInt& exponent,
                         const BigInt& modulus);
 
@@ -102,31 +107,40 @@ class BigInt {
 
 /// Montgomery context for repeated multiplication mod a fixed odd modulus.
 /// Exposed so RSA-CRT can reuse one context per prime across many signatures.
+///
+/// Internally the modulus and every operand live in 64-bit limbs (CIOS
+/// multiplication with unsigned __int128 products); values convert from and
+/// to BigInt's 32-bit limbs at the edges of mod_exp. Exponentiation is a
+/// fixed 4-bit window that multiplies once per window, by R mod N for a
+/// zero window, so the multiply sequence does not depend on the exponent's
+/// bits. Each call allocates one scratch buffer.
 class Montgomery {
  public:
   /// Throws CryptoError unless modulus is odd and > 1.
   explicit Montgomery(const BigInt& modulus);
 
-  /// (base ^ exponent) mod modulus.
+  /// (base ^ exponent) mod modulus. Any base, including base >= modulus.
   [[nodiscard]] BigInt mod_exp(const BigInt& base,
                                const BigInt& exponent) const;
 
   [[nodiscard]] const BigInt& modulus() const noexcept { return modulus_; }
 
  private:
-  using Limbs = std::vector<std::uint32_t>;
+  using Limb = std::uint64_t;
 
-  // out = a * b * R^-1 mod N (CIOS). All operands have exactly k limbs.
-  void mont_mul(const Limbs& a, const Limbs& b, Limbs& out) const;
+  // out = a * b * R^-1 mod N (CIOS), R = 2^(64k). a, b and out hold k
+  // limbs (out may alias neither input); t is k + 1 limbs of scratch.
+  void mont_mul(const Limb* a, const Limb* b, Limb* out, Limb* t) const;
 
-  [[nodiscard]] Limbs to_mont(const BigInt& value) const;
-  [[nodiscard]] BigInt from_mont(const Limbs& value) const;
+  // value (any size) -> k limbs of value mod N, not yet in Montgomery form.
+  void load(const BigInt& value, Limb* out) const;
 
   BigInt modulus_;
-  std::size_t k_;           // limb count of modulus
-  std::uint32_t n0_inv_;    // -N^-1 mod 2^32
-  BigInt r_mod_n_;          // R mod N
-  BigInt r2_mod_n_;         // R^2 mod N
+  std::size_t k_;              // 64-bit limb count of the modulus
+  Limb n0_inv_;                // -N^-1 mod 2^64
+  std::vector<Limb> n_;        // N
+  std::vector<Limb> r_mod_n_;  // R mod N: 1 in Montgomery form
+  std::vector<Limb> r2_mod_n_; // R^2 mod N: converts into Montgomery form
 };
 
 }  // namespace keygraphs::crypto

@@ -4,7 +4,10 @@
 // moduli so the benchmarks can show how the signature cost (the dominant
 // server cost in the paper's Table 4 / Figure 11) scales with key size.
 // Signing uses the CRT representation for a ~4x speedup, as any production
-// implementation would.
+// implementation would: two half-size exponentiations on per-prime
+// Montgomery contexts (64-bit limbs, fixed 4-bit window; crypto/bigint.h).
+// PKCS#1 v1.5 is deterministic, so a signature's bytes depend only on the
+// key and the digest, never on the exponentiation kernel.
 #pragma once
 
 #include <cstdint>

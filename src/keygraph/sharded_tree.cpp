@@ -1,6 +1,9 @@
 #include "keygraph/sharded_tree.h"
 
 #include <algorithm>
+#include <string>
+
+#include "common/error.h"
 
 namespace keygraphs {
 
@@ -19,8 +22,18 @@ ShardedKeyTree::ShardedKeyTree(int degree, std::size_t key_size,
   }
 }
 
-void ShardedKeyTree::restore_shard(std::size_t index, BytesView bytes) {
-  shards_[index] = KeyTree::deserialize(bytes, *rngs_[index]);
+void ShardedKeyTree::restore(const std::vector<Bytes>& trees) {
+  if (trees.size() != shards_.size()) {
+    throw ProtocolError("restore: " + std::to_string(trees.size()) +
+                        " shard trees for " + std::to_string(shards_.size()) +
+                        " shards");
+  }
+  std::vector<std::unique_ptr<KeyTree>> restored;
+  restored.reserve(trees.size());
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    restored.push_back(KeyTree::deserialize(trees[i], *rngs_[i]));
+  }
+  shards_ = std::move(restored);
 }
 
 std::size_t ShardedKeyTree::user_count() const {

@@ -68,11 +68,12 @@ class ShardedKeyTree {
     return *rngs_[index];
   }
 
-  /// Replaces shard `index` with the tree serialized in `bytes` (snapshot
-  /// restore); later key material still comes from the shard's own rng.
-  /// Throws ParseError, leaving the shard unchanged, on malformed input.
-  /// Not safe while the shard is read or mutated.
-  void restore_shard(std::size_t index, BytesView bytes);
+  /// Replaces every shard with the trees serialized in `trees`, one per
+  /// shard in index order (snapshot restore); later key material still
+  /// comes from each shard's own rng. All or nothing: throws ParseError on
+  /// any malformed tree and ProtocolError on a count mismatch, leaving
+  /// every shard unchanged. Not safe while shards are read or mutated.
+  void restore(const std::vector<Bytes>& trees);
 
   // --- Aggregates across all shards ---------------------------------------
   // These read each shard's published view, never the live tree, so they

@@ -67,7 +67,7 @@ struct ServerConfig {
   /// Durable-state configuration (storage/backend.h). When enabled the
   /// server journals every committed membership operation before its
   /// datagrams leave the transport, compacts snapshots on the configured
-  /// interval (single-shard servers only), and can rebuild byte-identical
+  /// interval (at every shard count), and can rebuild byte-identical
   /// state from the journal via recover_from_storage(). Spec keys
   /// `storage`, `journal_dir`, `snapshot_interval`. Default: disabled.
   storage::StorageConfig storage;

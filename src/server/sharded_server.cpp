@@ -35,11 +35,22 @@ Bytes sealed_digest(const std::vector<rekey::SealedRekey>& sealed) {
   return digest.finish();
 }
 
-/// The single-shard snapshot format: u64 epoch ‖ var_bytes(tree).
-Bytes encode_snapshot(std::uint64_t epoch, const TreeView& view) {
+/// The snapshot format: u64 epoch ‖ var_bytes(tree_0), then at K > 1
+/// u32 K ‖ var_bytes(tree_1) … var_bytes(tree_K-1) ‖ var_bytes(G secret).
+/// K = 1 bytes are the single-tree format older journals hold.
+Bytes encode_snapshot(std::uint64_t epoch,
+                      const std::vector<TreeViewPtr>& views,
+                      BytesView group_secret) {
   ByteWriter writer;
   writer.u64(epoch);
-  writer.var_bytes(view.serialize());
+  writer.var_bytes(views.front()->serialize());
+  if (views.size() > 1) {
+    writer.u32(static_cast<std::uint32_t>(views.size()));
+    for (std::size_t i = 1; i < views.size(); ++i) {
+      writer.var_bytes(views[i]->serialize());
+    }
+    writer.var_bytes(group_secret);
+  }
   return writer.take();
 }
 
@@ -221,11 +232,9 @@ SymmetricKey ShardedGroupKeyServer::shared_key_locked() const {
   return SymmetricKey{kSharedGroupKeyId, group_version_, group_secret_};
 }
 
-void ShardedGroupKeyServer::require_single_shard(const char* what) const {
-  if (shard_count() != 1) {
-    throw ProtocolError(std::string(what) +
-                        ": snapshots exist only for a single-shard server");
-  }
+ShardedGroupKeyServer::RootState ShardedGroupKeyServer::root_state_locked()
+    const {
+  return RootState{epoch_, shard_views_, group_secret_};
 }
 
 // --- Planning -----------------------------------------------------------
@@ -442,7 +451,12 @@ void ShardedGroupKeyServer::stitch(Pending& pending, std::size_t shard,
             Broadcast{shard_roots_[j], shard_views_[j], root_rng_.bytes(block)});
       }
     }
-    if (root_capture) pending.root_tape = root_capture->take();
+    if (root_capture) {
+      pending.root_tape = root_capture->take();
+      // The only point where every shard's view and G agree on this
+      // epoch; dispatch compacts from it if a snapshot falls due.
+      pending.root = root_state_locked();
+    }
   }
 
   try {
@@ -668,13 +682,15 @@ void ShardedGroupKeyServer::dispatch_locked(Lane& lane, Pending& pending,
     fleet_epoch_->set(static_cast<std::int64_t>(pending.epoch));
     fleet_seal_us_->set(static_cast<std::int64_t>(seal_us));
   }
-  // Periodic compaction (single-lane journals only, so K = 1), keyed off
-  // this op's own epoch and view so the snapshot matches the last
-  // journaled record even when a later plan has already moved the tree.
+  // Periodic compaction at every K, from the root state stitch captured
+  // as of this op's epoch: the snapshot matches the last journaled record
+  // even when later plans have already moved some shard, and appends are
+  // serialized here, so no record of a later epoch is in the journal yet.
   if (durable_ != nullptr && pending.commit != nullptr &&
       durable_->snapshot_due()) {
     durable_->compact(pending.epoch,
-                      encode_snapshot(pending.epoch, *pending.lane_view));
+                      encode_snapshot(pending.epoch, pending.root.views,
+                                      pending.root.group_secret));
   }
 }
 
@@ -1111,27 +1127,54 @@ void ShardedGroupKeyServer::preload(const std::vector<UserId>& users) {
 // --- Durable state ------------------------------------------------------
 
 Bytes ShardedGroupKeyServer::snapshot() const {
-  require_single_shard("snapshot");
-  // The view and the epoch it was stitched under, taken as one pair: a
-  // snapshot taken while a writer mutates is still internally consistent.
-  const ShardState state = shard_state(0);
-  return encode_snapshot(state.epoch, *state.view);
+  // Every view and the epoch they were stitched under, taken together: a
+  // snapshot taken while writers mutate is still internally consistent.
+  RootState state;
+  {
+    const std::lock_guard<std::mutex> lock(root_mutex_);
+    state = root_state_locked();
+  }
+  return encode_snapshot(state.epoch, state.views, state.group_secret);
 }
 
 void ShardedGroupKeyServer::restore(BytesView snapshot) {
-  require_single_shard("restore");
+  const std::size_t shards = shard_count();
   ByteReader reader(snapshot);
   const std::uint64_t epoch = reader.u64();
-  const Bytes tree_bytes = reader.var_bytes();
+  std::vector<Bytes> trees;
+  trees.push_back(reader.var_bytes());
+  Bytes group_secret;
+  if (!reader.done()) {
+    const std::uint32_t count = reader.u32();
+    if (count != shards || count < 2) {
+      throw ProtocolError("restore: snapshot has " + std::to_string(count) +
+                          " shards, server has " + std::to_string(shards));
+    }
+    for (std::size_t i = 1; i < count; ++i) {
+      trees.push_back(reader.var_bytes());
+    }
+    group_secret = reader.var_bytes();
+    if (group_secret.size() != config_.base.suite.key_size()) {
+      throw ParseError("restore: group secret has the wrong size");
+    }
+  }
   reader.expect_done();
   {
-    const std::lock_guard<std::mutex> lane(lanes_[0]->mutex);
-    tree_->restore_shard(0, tree_bytes);  // throws before any change
-    const TreeViewPtr view = tree_->shard(0).view();
+    std::vector<std::unique_lock<std::mutex>> lanes;
+    lanes.reserve(shards);
+    for (const auto& lane : lanes_) lanes.emplace_back(lane->mutex);
+    tree_->restore(trees);  // throws before any change
     const std::lock_guard<std::mutex> lock(root_mutex_);
     epoch_ = epoch;
-    shard_roots_[0] = view->group_key();
-    shard_views_[0] = view;
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      const TreeViewPtr view = tree_->shard(shard).view();
+      shard_roots_[shard] = view->group_key();
+      shard_views_[shard] = view;
+    }
+    if (shards > 1) {
+      group_secret_ = std::move(group_secret);
+      group_version_ = static_cast<KeyVersion>(epoch);
+    }
   }
   {
     const std::lock_guard<std::mutex> order(sequence_mutex_);
@@ -1160,14 +1203,14 @@ void ShardedGroupKeyServer::recover_from_storage(
   }
   storage::RecoveredLog log = durable_->load(options);
   if (log.snapshot) {
-    // Only a single-shard server compacts; a snapshot in a multi-lane
-    // journal means the journal and this configuration disagree.
-    if (shard_count() != 1) {
+    // A snapshot this server cannot restore means the journal and this
+    // configuration disagree (another shard count) or the bytes are bad.
+    try {
+      restore(*log.snapshot);
+    } catch (const Error& error) {
       throw storage::JournalCorruptError(
-          "recover: journal carries a snapshot but the server has " +
-          std::to_string(shard_count()) + " shards");
+          std::string("recover: unusable snapshot: ") + error.what());
     }
-    restore(*log.snapshot);
   }
   for (const storage::JournalRecord& record : log.records) {
     replay_record(record, options);

@@ -54,10 +54,13 @@
 //                appends one record to its shard's journal lane (plus the
 //                stitched root-layer rng tape) before its datagrams leave.
 //                Recovery replays the lanes merged by global commit
-//                sequence. Only a single-shard server compacts: its
-//                snapshot is `u64 epoch ‖ var_bytes(KeyTree::serialize())`
-//                every snapshot_interval commits; at K > 1 the interval is
-//                ignored and snapshot()/restore() throw.
+//                sequence. Every snapshot_interval commits, dispatch
+//                compacts every lane into one snapshot of the whole root
+//                state as of the committing op's epoch (all K shard views
+//                and G, captured inside stitch's root critical section):
+//                `u64 epoch ‖ var_bytes(tree_0)`, followed at K > 1 by
+//                `u32 K ‖ var_bytes(tree_1) … var_bytes(tree_K-1) ‖
+//                var_bytes(G secret)` (G's version is the epoch).
 //
 // Reads (epoch(), member_count(), has_member(), keyset(), snapshot(), the
 // whole resync path) answer from published views and never wait for a
@@ -209,8 +212,8 @@ class ShardedGroupKeyServer {
 
   // --- Durable state (write-ahead journal) ------------------------------
 
-  /// Boot-time crash recovery: restores the compacted snapshot (K = 1
-  /// only), then replays every later journal record — preload chunks and
+  /// Boot-time crash recovery: restores the compacted snapshot, then
+  /// replays every later journal record — preload chunks and
   /// committed ops, lanes merged by global commit sequence — through the
   /// real per-lane plan/seal pipeline with the journaled rng tapes (lane
   /// and root layer) injected, reproducing byte-identical keys, epochs and
@@ -218,7 +221,8 @@ class ShardedGroupKeyServer {
   /// freshly constructed server before serving. Throws StorageError
   /// subclasses (JournalCorruptError / JournalTruncatedError /
   /// EpochGapError / ReplayDivergenceError) per storage/errors.h, also
-  /// when a K > 1 server finds a snapshot or storage is not configured.
+  /// when storage is not configured; a snapshot this server cannot restore
+  /// (another shard count, malformed bytes) is a JournalCorruptError.
   void recover_from_storage(const storage::RecoveryOptions& options = {});
   /// Replays one journal record (kPreload rebuilds its chunk; others
   /// re-plan, re-seal, verify the sealed digest, and refill the
@@ -232,17 +236,17 @@ class ShardedGroupKeyServer {
     return durable_.get();
   }
 
-  /// K = 1 only: serializes the replicable state, `u64 epoch ‖
-  /// var_bytes(KeyTree::serialize())`, from one published view and the
-  /// epoch it was stitched under (the standby-replica path Section 6
-  /// sketches). As sensitive as the server's memory; transfer over a
-  /// secure channel only. Throws ProtocolError at K > 1.
+  /// Serializes the replicable state — every shard's published view and,
+  /// at K > 1, the group secret, all as of one epoch (the format in the
+  /// header comment; K = 1 is `u64 epoch ‖ var_bytes(tree)`). The
+  /// standby-replica path Section 6 sketches. As sensitive as the server's
+  /// memory; transfer over a secure channel only.
   [[nodiscard]] Bytes snapshot() const;
-  /// K = 1 only: replaces the group state with a snapshot taken from a
-  /// server with the same configuration. Clients notice nothing: node
-  /// ids, versions and key material are identical. Throws ParseError on
-  /// malformed snapshots (state is unchanged on failure) and
-  /// ProtocolError at K > 1. Also resets the delivery-side state the old
+  /// Replaces the group state with a snapshot taken from a server with the
+  /// same configuration. Clients notice nothing: node ids, versions and
+  /// key material are identical. Throws ParseError on malformed snapshots
+  /// and ProtocolError when the snapshot's shard count differs; state is
+  /// unchanged on failure. Also resets the delivery-side state the old
   /// timeline owned: the retransmit window and the convergence monitor's
   /// published-epoch anchor. Not safe concurrently with other calls.
   void restore(BytesView snapshot);
@@ -299,6 +303,15 @@ class ShardedGroupKeyServer {
     std::optional<SymmetricKey> shared;  // K > 1 only
   };
 
+  /// Every shard's view and the group secret (K > 1 only) as of one
+  /// epoch: what a snapshot serializes. Read under root_mutex_, where the
+  /// three change together.
+  struct RootState {
+    std::uint64_t epoch = 0;
+    std::vector<TreeViewPtr> views;
+    Bytes group_secret;
+  };
+
   /// One operation between plan and dispatch.
   struct Pending {
     rekey::RekeyPlan plan;
@@ -325,6 +338,9 @@ class ShardedGroupKeyServer {
     /// Journal record built at plan time, appended at dispatch (after the
     /// sealed digest is known). Null when storage is off or replaying.
     std::unique_ptr<storage::JournalRecord> commit;
+    /// The root state as of this epoch, captured by stitch whenever the op
+    /// journals; dispatch compacts from it when a snapshot is due.
+    RootState root;
   };
 
   [[nodiscard]] std::uint64_t now_us() const;
@@ -372,8 +388,7 @@ class ShardedGroupKeyServer {
   std::optional<NackOutcome> try_retransmit_locked(UserId user,
                                                    std::uint64_t have_epoch);
   [[nodiscard]] SymmetricKey shared_key_locked() const;  // root_mutex_ held
-  /// Throws ProtocolError unless the server has exactly one shard.
-  void require_single_shard(const char* what) const;
+  [[nodiscard]] RootState root_state_locked() const;     // root_mutex_ held
   /// Digest-checks a replayed op, advances the dispatch cursor past its
   /// epoch, and refills the retransmit window — no transport, no stats.
   void absorb_replayed(Pending&& pending,

@@ -36,8 +36,9 @@
 //                   default none. file requires journal_dir)
 //   journal_dir   = <directory for the file journal + snapshots;
 //                    created if absent>
-//   snapshot_interval = <journal records between compacted snapshots;
-//                        0 = never compact; default 1024>
+//   snapshot_interval = <journal records between compacted snapshots,
+//                        counted across every shard's lane; 0 = never
+//                        compact; default 1024>
 //   overload      = on | off   (overload control: bounded admission, load
 //                   shedding with kRetryLater, and degraded-mode batch
 //                   coalescing; default off = byte-identical wire output)

@@ -5,8 +5,8 @@
 // ShardedGroupKeyServer (any K, configured like the primary) that tails
 // the primary's journal:
 //
-//   poll()    pulls newly durable records (and, after a single-shard
-//             compaction, the fresh snapshot) from the shared storage
+//   poll()    pulls newly durable records (and, after a compaction, the
+//             fresh snapshot) from the shared storage
 //             backend and replays them through the real plan/seal pipeline
 //             with the journaled rng tapes injected. The standby's trees,
 //             epoch, and even its retransmit window converge to

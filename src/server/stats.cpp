@@ -1,70 +1,12 @@
 #include "server/stats.h"
 
 #include <algorithm>
-#include <limits>
-#include <optional>
 
 #include "telemetry/metrics.h"
 
 namespace keygraphs::server {
 
 namespace {
-
-Summary summarize_records(const std::vector<OpRecord>& records,
-                          std::optional<rekey::RekeyKind> kind) {
-  Summary summary;
-  double processing_us = 0.0;
-  telemetry::StageBreakdown stage_us{};
-  std::size_t messages = 0, encryptions = 0, signatures = 0, bytes = 0;
-  summary.min_messages = std::numeric_limits<std::size_t>::max();
-  summary.min_message_bytes = std::numeric_limits<std::size_t>::max();
-  for (const OpRecord& record : records) {
-    if (kind.has_value() && record.kind != *kind) continue;
-    ++summary.operations;
-    processing_us += record.processing_us;
-    for (std::size_t i = 0; i < telemetry::kStageCount; ++i) {
-      stage_us[i] += record.stage_us[i];
-    }
-    messages += record.messages;
-    encryptions += record.key_encryptions;
-    signatures += record.signatures;
-    bytes += record.bytes;
-    summary.min_messages = std::min(summary.min_messages, record.messages);
-    summary.max_messages = std::max(summary.max_messages, record.messages);
-    if (record.messages > 0) {
-      // min_message == 0 means the producer never filled the field (a real
-      // encoded datagram is never empty); folding it in would make the
-      // minimum report 0 from unset fields.
-      if (record.min_message > 0) {
-        summary.min_message_bytes =
-            std::min(summary.min_message_bytes, record.min_message);
-      }
-      summary.max_message_bytes =
-          std::max(summary.max_message_bytes, record.max_message);
-    }
-  }
-  if (summary.operations == 0) {
-    summary.min_messages = 0;
-    summary.min_message_bytes = 0;
-    return summary;
-  }
-  const auto ops = static_cast<double>(summary.operations);
-  summary.avg_processing_ms = processing_us / ops / 1000.0;
-  for (std::size_t i = 0; i < telemetry::kStageCount; ++i) {
-    summary.avg_stage_us[i] = stage_us[i] / ops;
-  }
-  summary.avg_messages = static_cast<double>(messages) / ops;
-  summary.avg_encryptions = static_cast<double>(encryptions) / ops;
-  summary.avg_signatures = static_cast<double>(signatures) / ops;
-  summary.avg_total_bytes = static_cast<double>(bytes) / ops;
-  summary.avg_message_bytes =
-      messages == 0 ? 0.0
-                    : static_cast<double>(bytes) / static_cast<double>(messages);
-  if (summary.min_message_bytes == std::numeric_limits<std::size_t>::max()) {
-    summary.min_message_bytes = 0;
-  }
-  return summary;
-}
 
 const char* op_counter_name(rekey::RekeyKind kind) {
   switch (kind) {
@@ -119,17 +61,73 @@ double Summary::measured_stage_us() const noexcept {
   return total;
 }
 
+void ServerStats::Totals::add(const OpRecord& record) {
+  if (operations == 0) min_messages = record.messages;
+  ++operations;
+  processing_us += record.processing_us;
+  for (std::size_t i = 0; i < telemetry::kStageCount; ++i) {
+    stage_us[i] += record.stage_us[i];
+  }
+  messages += record.messages;
+  encryptions += record.key_encryptions;
+  signatures += record.signatures;
+  bytes += record.bytes;
+  min_messages = std::min(min_messages, record.messages);
+  max_messages = std::max(max_messages, record.messages);
+  if (record.messages > 0) {
+    // min_message == 0 means the producer never filled the field (a real
+    // encoded datagram is never empty); folding it in would make the
+    // minimum report 0 from unset fields.
+    if (record.min_message > 0 &&
+        (min_message_bytes == 0 || record.min_message < min_message_bytes)) {
+      min_message_bytes = record.min_message;
+    }
+    max_message_bytes = std::max(max_message_bytes, record.max_message);
+  }
+}
+
+Summary ServerStats::Totals::summary() const {
+  Summary summary;
+  summary.operations = operations;
+  if (operations == 0) return summary;
+  const auto ops = static_cast<double>(operations);
+  summary.avg_processing_ms = processing_us / ops / 1000.0;
+  for (std::size_t i = 0; i < telemetry::kStageCount; ++i) {
+    summary.avg_stage_us[i] = stage_us[i] / ops;
+  }
+  summary.avg_messages = static_cast<double>(messages) / ops;
+  summary.min_messages = min_messages;
+  summary.max_messages = max_messages;
+  summary.avg_encryptions = static_cast<double>(encryptions) / ops;
+  summary.avg_signatures = static_cast<double>(signatures) / ops;
+  summary.avg_total_bytes = static_cast<double>(bytes) / ops;
+  summary.avg_message_bytes =
+      messages == 0 ? 0.0
+                    : static_cast<double>(bytes) / static_cast<double>(messages);
+  summary.min_message_bytes = min_message_bytes;
+  summary.max_message_bytes = max_message_bytes;
+  return summary;
+}
+
 void ServerStats::record(const OpRecord& record) {
-  records_.push_back(record);
+  const auto kind = static_cast<std::size_t>(record.kind);
+  if (kind < by_kind_.size()) by_kind_[kind].add(record);
+  all_.add(record);
+  last_ = record;
   if (telemetry::enabled()) publish(record);
 }
 
-Summary ServerStats::summarize(rekey::RekeyKind kind) const {
-  return summarize_records(records_, kind);
+void ServerStats::reset() {
+  by_kind_ = {};
+  all_ = {};
+  last_.reset();
 }
 
-Summary ServerStats::summarize_all() const {
-  return summarize_records(records_, std::nullopt);
+Summary ServerStats::summarize(rekey::RekeyKind kind) const {
+  const auto index = static_cast<std::size_t>(kind);
+  return index < by_kind_.size() ? by_kind_[index].summary() : Summary{};
 }
+
+Summary ServerStats::summarize_all() const { return all_.summary(); }
 
 }  // namespace keygraphs::server

@@ -2,17 +2,20 @@
 //
 // The paper reports, per join/leave request: server processing time, the
 // number of rekey messages sent, their sizes (ave/min/max), encryption
-// counts, and signature counts. ServerStats records one entry per operation
-// and computes exactly the aggregates Tables 4-5 and Figures 10-11 need.
+// counts, and signature counts. ServerStats folds each operation into
+// running totals per kind — exactly the aggregates Tables 4-5 and Figures
+// 10-11 need — and keeps only the last record, so a long-running daemon
+// (or a replica replaying a long journal) holds constant memory.
 //
-// The per-operation record now also carries a per-stage time breakdown
+// The per-operation record also carries a per-stage time breakdown
 // (telemetry::StageBreakdown), and record() mirrors every operation into
 // the global telemetry registry (server.ops.*, server.processing_ns, ...),
 // so the live exporters see the same numbers the paper tables aggregate.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "rekey/message.h"
 #include "telemetry/stage.h"
@@ -57,13 +60,17 @@ struct Summary {
 
 class ServerStats {
  public:
-  /// Stores the record and mirrors it into the telemetry registry.
+  /// Folds the record into its kind's totals and the overall totals,
+  /// keeps it as the last record, and mirrors it into the telemetry
+  /// registry.
   void record(const OpRecord& record);
-  void reset() { records_.clear(); }
+  void reset();
 
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  [[nodiscard]] const std::vector<OpRecord>& records() const noexcept {
-    return records_;
+  /// Operations recorded since construction or the last reset().
+  [[nodiscard]] std::size_t size() const noexcept { return all_.operations; }
+  /// The most recent operation; nullopt when none was recorded.
+  [[nodiscard]] const std::optional<OpRecord>& last() const noexcept {
+    return last_;
   }
 
   /// Aggregate over all operations of `kind`.
@@ -74,7 +81,29 @@ class ServerStats {
   [[nodiscard]] Summary summarize_all() const;
 
  private:
-  std::vector<OpRecord> records_;
+  /// Running sums, counts and extremes over a set of operations; adds in
+  /// record order, so the sums equal a pass over the stored records.
+  struct Totals {
+    std::size_t operations = 0;
+    double processing_us = 0.0;
+    telemetry::StageBreakdown stage_us{};
+    std::size_t messages = 0;
+    std::size_t encryptions = 0;
+    std::size_t signatures = 0;
+    std::size_t bytes = 0;
+    std::size_t min_messages = 0;
+    std::size_t max_messages = 0;
+    std::size_t min_message_bytes = 0;  // 0 = no message sized yet
+    std::size_t max_message_bytes = 0;
+
+    void add(const OpRecord& record);
+    [[nodiscard]] Summary summary() const;
+  };
+
+  /// Indexed by RekeyKind's value (join 1 .. resync 4).
+  std::array<Totals, 5> by_kind_{};
+  Totals all_;
+  std::optional<OpRecord> last_;
 };
 
 }  // namespace keygraphs::server

@@ -79,9 +79,11 @@ struct StorageConfig {
   /// Directory for the file backend (created if absent). Spec key
   /// `journal_dir`; required for that kind.
   std::string journal_dir;
-  /// Committed records between compacted snapshots; 0 = never compact.
-  /// Spec key `snapshot_interval`. Ignored at K > 1 shards (that journal
-  /// has one lane per shard and no snapshot; see docs/ARCHITECTURE.md).
+  /// Committed records between compacted snapshots, counted across all
+  /// lanes; 0 = never compact. Spec key `snapshot_interval`. At K > 1 the
+  /// snapshot holds every shard's tree and the shared group key, so a
+  /// journal never holds more than this many records at any K (format in
+  /// docs/ARCHITECTURE.md).
   std::uint32_t snapshot_interval = 1024;
   std::shared_ptr<StorageBackend> backend;
 

@@ -97,8 +97,7 @@ void DurableStore::append(JournalRecord& record) {
 
 bool DurableStore::snapshot_due() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return snapshot_interval_ > 0 && backend_->lanes() == 1 &&
-         ops_since_snapshot_ >= snapshot_interval_;
+  return snapshot_interval_ > 0 && ops_since_snapshot_ >= snapshot_interval_;
 }
 
 void DurableStore::compact(std::uint64_t epoch, BytesView snapshot) {
@@ -178,28 +177,48 @@ Tail DurableStore::tail(Cursor& cursor) {
   if (cursor.generation != generation) {
     // Compacted (or first call): re-anchor on the snapshot and restart
     // the byte offsets. Sequences are global across generations, so
-    // next_sequence stays meaningful — but a fresh cursor accepts the
-    // first record it sees.
+    // next_sequence stays meaningful while the snapshot covers no more
+    // than the cursor already emitted. A snapshot past that replaced
+    // records the cursor never read: resume at its next epoch instead.
     cursor.generation = generation;
     cursor.offsets.assign(backend_->lanes(), 0);
     cursor.pending.clear();
     result.snapshot = backend_->read_snapshot();
     result.snapshot_epoch = result.snapshot ? backend_->snapshot_epoch() : 0;
+    if (result.snapshot_epoch > cursor.epoch) {
+      cursor.next_sequence = 0;
+      cursor.next_epoch = result.snapshot_epoch + 1;
+    }
+    ops_since_snapshot_ = 0;
   }
   if (cursor.offsets.size() != backend_->lanes()) {
     cursor.offsets.assign(backend_->lanes(), 0);
   }
 
-  std::vector<JournalRecord> fresh = std::move(cursor.pending);
-  cursor.pending.clear();
-  for (std::size_t lane = 0; lane < backend_->lanes(); ++lane) {
-    const Bytes stream = backend_->read_journal(lane, cursor.offsets[lane]);
-    // torn_tail here just means "a writer is mid-append"; the unconsumed
-    // bytes stay at the cursor for the next call.
-    const FrameScan scan = scan_frames(stream, cursor.offsets[lane]);
-    cursor.offsets[lane] += scan.consumed;
-    fresh.insert(fresh.end(), scan.records.begin(), scan.records.end());
+  std::vector<JournalRecord> fresh;
+  std::vector<std::size_t> offsets = cursor.offsets;
+  try {
+    for (std::size_t lane = 0; lane < backend_->lanes(); ++lane) {
+      const Bytes stream = backend_->read_journal(lane, offsets[lane]);
+      // torn_tail here just means "a writer is mid-append"; the unconsumed
+      // bytes stay at the cursor for the next call.
+      const FrameScan scan = scan_frames(stream, offsets[lane]);
+      offsets[lane] += scan.consumed;
+      fresh.insert(fresh.end(), scan.records.begin(), scan.records.end());
+    }
+  } catch (const JournalCorruptError&) {
+    if (backend_->generation() == generation) throw;
   }
+  if (backend_->generation() != generation) {
+    // Compacted mid-read: the old offsets may have landed inside the new
+    // generation's frames. Keep nothing from this pass; re-anchor next.
+    cursor.generation = ~0ull;
+    return result;
+  }
+  cursor.offsets = std::move(offsets);
+  fresh.insert(fresh.end(), std::make_move_iterator(cursor.pending.begin()),
+               std::make_move_iterator(cursor.pending.end()));
+  cursor.pending.clear();
   sort_by_sequence(fresh);
 
   // Emit only the contiguous sequence prefix; records whose predecessors
@@ -209,21 +228,30 @@ Tail DurableStore::tail(Cursor& cursor) {
     if (cursor.next_sequence != 0 && record.sequence < cursor.next_sequence) {
       continue;  // already emitted (re-read after a re-anchor)
     }
-    if (cursor.next_sequence != 0 && record.sequence != cursor.next_sequence) {
+    if (cursor.next_sequence == 0 && record.epoch != 0 &&
+        record.epoch < cursor.next_epoch) {
+      continue;  // covered by the snapshot (compaction-crash overlap)
+    }
+    const bool next = cursor.next_sequence != 0
+                          ? record.sequence == cursor.next_sequence
+                          : record.epoch == 0 ||
+                                record.epoch == cursor.next_epoch;
+    if (!next) {
       cursor.pending.assign(std::make_move_iterator(fresh.begin() +
                                                     static_cast<std::ptrdiff_t>(i)),
                             std::make_move_iterator(fresh.end()));
       break;
     }
     cursor.next_sequence = record.sequence + 1;
+    if (record.epoch != 0) cursor.epoch = record.epoch;
     result.records.push_back(std::move(record));
   }
   // Keep this store's own counters ahead of everything observed: a
   // standby promoted over this instance must append with fresh sequences.
   if (cursor.next_sequence > next_sequence_) {
     next_sequence_ = cursor.next_sequence;
-    ops_since_snapshot_ += result.records.size();
   }
+  ops_since_snapshot_ += result.records.size();
   return result;
 }
 

@@ -57,7 +57,13 @@ struct RecoveredLog {
 struct Cursor {
   std::uint64_t generation = ~0ull;
   std::vector<std::size_t> offsets;  // per-lane journal byte offsets
-  std::uint64_t next_sequence = 0;   // 0 = accept the first record seen
+  /// 0 = unknown: accept the first record of epoch next_epoch (or a
+  /// preload) — the state after a fresh start or a snapshot that jumped
+  /// past records this cursor never read.
+  std::uint64_t next_sequence = 0;
+  std::uint64_t next_epoch = 1;
+  /// Epoch of the last op record emitted (0 before any).
+  std::uint64_t epoch = 0;
   /// Records read but held back because an earlier sequence from another
   /// lane has not surfaced yet (multi-lane appends race the reads).
   std::vector<JournalRecord> pending;
@@ -89,9 +95,7 @@ class DurableStore {
   void append(JournalRecord& record);
 
   /// True when snapshot_interval records have been committed since the
-  /// last compaction (and compaction applies: single-lane journals only —
-  /// the sharded server has no cross-shard snapshot and recovers from the
-  /// journal alone).
+  /// last compaction, across all lanes.
   [[nodiscard]] bool snapshot_due() const;
 
   /// Durably replaces the snapshot with `snapshot` (state as of `epoch`)
@@ -107,9 +111,12 @@ class DurableStore {
   /// Incremental read since `cursor` (advanced in place). Never throws for
   /// an incomplete final frame — a live writer may be mid-append; the
   /// bytes stay unconsumed for the next call. Corrupt complete frames
-  /// still throw JournalCorruptError. Advances this store's own sequence
-  /// counter past everything observed, so a standby promoted over this
-  /// store appends with fresh sequences.
+  /// still throw JournalCorruptError. A compaction between two calls
+  /// returns the new snapshot; when it covers records the cursor never
+  /// read, the cursor resumes at the snapshot's next epoch. A compaction
+  /// during the read returns no records and re-anchors on the next call.
+  /// Advances this store's own sequence counter past everything observed,
+  /// so a standby promoted over this store appends with fresh sequences.
   [[nodiscard]] Tail tail(Cursor& cursor);
 
   /// Cuts every lane back to the cursor's consumed offset, dropping a

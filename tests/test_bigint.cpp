@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.h"
 #include "crypto/random.h"
 
@@ -197,6 +200,44 @@ TEST(Montgomery, RequiresOddModulus) {
   EXPECT_THROW(Montgomery(BigInt{10}), CryptoError);
   EXPECT_THROW(Montgomery(BigInt{1}), CryptoError);
   EXPECT_THROW(Montgomery(BigInt{}), CryptoError);
+}
+
+TEST(Montgomery, MatchesSquareAndMultiplyAcrossSizes) {
+  // Odd moduli from 33 to 2048 bits, including odd 32-bit limb counts
+  // (96 and 544 bits, whose top 64-bit limb is half empty), against the
+  // divmod oracle, through both the context and BigInt::mod_exp.
+  SecureRandom rng(2048);
+  std::vector<std::size_t> sizes = {33,  63,  64,  65,   96,   127,  128,
+                                    160, 255, 257, 384,  511,  512,  544,
+                                    768, 1023, 1024, 1536, 2047, 2048};
+  for (int i = 0; i < 6; ++i) sizes.push_back(33 + rng.uniform(2016));
+  for (const std::size_t bits : sizes) {
+    SCOPED_TRACE(bits);
+    BigInt m = BigInt::random_bits(rng, bits);
+    if (!m.is_odd()) m = m + BigInt{1};
+    ASSERT_EQ(m.bit_length(), bits);
+    const Montgomery mont(m);
+    const std::vector<BigInt> bases = {
+        BigInt{}, BigInt{1}, BigInt::random_below(rng, m), m - BigInt{1}, m,
+        m + BigInt{1}, BigInt::random_bits(rng, bits + 1 + rng.uniform(96))};
+    const std::vector<BigInt> exponents = {
+        BigInt{}, BigInt{1}, BigInt{2}, BigInt{1} << 100,
+        (BigInt{1} << 67) - BigInt{1},
+        BigInt::random_bits(rng, 1 + rng.uniform(std::min<std::size_t>(
+                                         bits, 512)))};
+    for (const BigInt& base : bases) {
+      for (const BigInt& exponent : exponents) {
+        const BigInt expected = naive_mod_exp(base, exponent, m);
+        EXPECT_EQ(mont.mod_exp(base, exponent), expected)
+            << base.to_hex() << " ^ " << exponent.to_hex();
+        EXPECT_EQ(BigInt::mod_exp(base, exponent, m), expected);
+      }
+    }
+    // One full-width exponent, as RSA verification and Fermat use.
+    const BigInt base = BigInt::random_below(rng, m);
+    const BigInt exponent = BigInt::random_bits(rng, bits);
+    EXPECT_EQ(mont.mod_exp(base, exponent), naive_mod_exp(base, exponent, m));
+  }
 }
 
 // Property sweep: algebraic identities over random operands of mixed sizes.

@@ -76,14 +76,14 @@ TEST(Resync, RecordedInStatsWithoutAdvancingEpoch) {
                                        transport);
   for (UserId user = 1; user <= 8; ++user) server.join(user);
   const std::uint64_t epoch_before = server.epoch();
-  const std::size_t ops_before = server.stats().records().size();
+  const std::size_t ops_before = server.stats().size();
 
   server.resync(3);
   server.resync(5);
 
   EXPECT_EQ(server.epoch(), epoch_before);
-  ASSERT_EQ(server.stats().records().size(), ops_before + 2);
-  const server::OpRecord& record = server.stats().records().back();
+  ASSERT_EQ(server.stats().size(), ops_before + 2);
+  const server::OpRecord& record = *server.stats().last();
   EXPECT_EQ(record.kind, rekey::RekeyKind::kResync);
   EXPECT_EQ(record.messages, 1u);  // one welcome-style unicast
   // The replay wraps the member's non-individual path keys once each.

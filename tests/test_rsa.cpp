@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "crypto/random.h"
+#include "crypto/sha256.h"
 
 namespace keygraphs::crypto {
 namespace {
@@ -152,6 +153,30 @@ TEST_P(RsaSizes, SignVerifyAcrossModulusSizes) {
 
 INSTANTIATE_TEST_SUITE_P(ModulusBits, RsaSizes,
                          ::testing::Values(512, 768, 1024));
+
+TEST(Rsa, KeysAndSignaturesMatchRecordedDigest) {
+  // SHA-256 over fixed-seed keys' public halves and signatures at four
+  // modulus sizes, recorded with the 32-bit bit-serial Montgomery kernel.
+  // Key generation (prime search, Miller-Rabin) and PKCS#1 v1.5 signing
+  // are deterministic, so an exponentiation kernel that differs in one
+  // output bit anywhere changes this digest.
+  Sha256 digest;
+  for (const std::size_t bits : {512u, 768u, 1024u, 2048u}) {
+    SecureRandom rng(1998 + bits);
+    const RsaPrivateKey key = RsaPrivateKey::generate(rng, bits);
+    digest.update(key.public_key().serialize());
+    for (std::size_t i = 0; i < 6; ++i) {
+      const Bytes message = rng.bytes(1 + 29 * i);
+      for (auto algorithm : {DigestAlgorithm::kMd5, DigestAlgorithm::kSha1,
+                             DigestAlgorithm::kSha256}) {
+        const Bytes signature = key.sign(algorithm, message);
+        EXPECT_TRUE(key.public_key().verify(algorithm, message, signature));
+        digest.update(signature);
+      }
+    }
+  }
+  EXPECT_EQ(to_hex(digest.finish()), "23cca56b1ad3126ba6ab629829eb02ab35521a36f37943f88510c976d85160ab");
+}
 
 TEST(Rsa, PublicExponentThree) {
   SecureRandom rng(3);

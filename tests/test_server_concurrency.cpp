@@ -145,7 +145,7 @@ TEST(ServerConcurrency, EightThreadChurnWithParallelSeal) {
   EXPECT_EQ(server.epoch(), epoch_before + kThreads * kRounds * 2);
   // Every operation dispatched exactly once, in epoch order; the stats
   // ledger must account all of them (initial joins + churn + resyncs).
-  EXPECT_EQ(server.stats().records().size(),
+  EXPECT_EQ(server.stats().size(),
             static_cast<std::size_t>(kThreads * kUsersPerThread +
                                      kThreads * kRounds * 3));
 }

@@ -2,21 +2,25 @@
 // DurableStore append/load/tail/compact lifecycle, whole-server crash
 // recovery via rng-tape replay — including the typed corruption errors
 // (torn tail, CRC damage, epoch gaps) and byte-identical restart on the
-// file backend — and hot-standby promotion at K = 1 and K = 4.
+// file backend — compaction of every lane into one snapshot at K = 4, and
+// hot-standby promotion at K = 1 and K = 4, across compactions included.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/bytes.h"
 #include "common/error.h"
-#include "server/sharded_server.h"
+#include "common/io.h"
 #include "server/sharded_server.h"
 #include "server/standby.h"
 #include "storage/backend.h"
@@ -621,23 +625,195 @@ TEST(ShardedRecovery, JournalOnlyReplayAcrossLanes) {
             server::NackOutcome::kRetransmitted);
 }
 
-TEST(ShardedRecovery, SnapshotsAreSingleShardOnly) {
-  // At K > 1 the journal has one lane per shard and no snapshot format:
-  // snapshot_interval never compacts, snapshot()/restore() refuse, and a
-  // snapshot found in a multi-lane journal fails recovery typed.
+// --- Compaction at K > 1 -------------------------------------------------
+
+/// K = 4 with snapshot_interval = 8: every lane is compacted into one
+/// snapshot of all shard trees and G after each eighth committed record.
+server::ShardedServerConfig compacting_config(
+    std::uint64_t seed, std::shared_ptr<StorageBackend> backend,
+    std::size_t shards = 4) {
+  server::ShardedServerConfig config =
+      durable_config(seed, std::move(backend), shards);
+  config.base.storage.snapshot_interval = 8;
+  return config;
+}
+
+/// Complete records across every journal lane.
+std::size_t journal_records(const StorageBackend& backend) {
+  std::size_t records = 0;
+  for (std::size_t lane = 0; lane < backend.lanes(); ++lane) {
+    records += storage::scan_frames(backend.read_journal(lane, 0))
+                   .records.size();
+  }
+  return records;
+}
+
+/// A preload of 64 members, then 44 joins, leaves and batches spread over
+/// every shard, calling `after_each` after each one.
+void sharded_churn(server::ShardedGroupKeyServer& server,
+                   const std::function<void()>& after_each = [] {}) {
+  std::vector<UserId> preloaded;
+  for (UserId user = 1; user <= 64; ++user) preloaded.push_back(user);
+  server.preload(preloaded);
+  after_each();
+  for (UserId i = 0; i < 40; ++i) {
+    if (i % 4 == 3) {
+      server.leave(i + 1);
+    } else {
+      server.join(100 + i);
+    }
+    after_each();
+  }
+  server.batch({300, 301, 302, 303}, {50, 51});
+  after_each();
+  server.batch({304}, {104});
+  after_each();
+  server.join(305);
+  after_each();
+  server.leave(52);
+  after_each();
+}
+
+/// Every member of `expected`, in every shard, holds the same keyset in
+/// `actual`, and the group key, epoch and per-shard member sets agree.
+void expect_same_group(const server::ShardedGroupKeyServer& actual,
+                       const server::ShardedGroupKeyServer& expected) {
+  EXPECT_EQ(actual.epoch(), expected.epoch());
+  EXPECT_EQ(actual.group_key(), expected.group_key());
+  EXPECT_EQ(actual.member_count(), expected.member_count());
+  for (std::size_t shard = 0; shard < expected.shard_count(); ++shard) {
+    const std::vector<UserId> users = expected.shard_view(shard)->users();
+    EXPECT_EQ(actual.shard_view(shard)->users(), users);
+    for (const UserId user : users) {
+      EXPECT_EQ(actual.keyset(user), expected.keyset(user)) << "user " << user;
+    }
+  }
+}
+
+TEST(ShardedCompaction, EveryLaneStaysWithinTheInterval) {
   const auto backend = storage::make_memory_backend(4);
   transport::NullTransport transport;
-  server::ShardedServerConfig config = durable_config(85, backend, 4);
-  config.base.storage.snapshot_interval = 2;
-  server::ShardedGroupKeyServer primary(config, transport);
-  for (UserId user = 1; user <= 12; ++user) primary.join(user);
-  EXPECT_EQ(backend->generation(), 0u);
-  EXPECT_FALSE(backend->read_snapshot().has_value());
-  EXPECT_THROW((void)primary.snapshot(), ProtocolError);
-  EXPECT_THROW(primary.restore(Bytes(16, 0)), ProtocolError);
+  server::ShardedGroupKeyServer primary(compacting_config(85, backend),
+                                        transport);
+  std::size_t most = 0;
+  sharded_churn(primary, [&] {
+    most = std::max(most, journal_records(*backend));
+    EXPECT_LE(journal_records(*backend), 8u);
+  });
+  // The eighth record compacts inside its own dispatch, so between ops
+  // the lanes hold at most seven.
+  EXPECT_EQ(most, 7u);
+  EXPECT_GE(backend->generation(), 5u);
+  ASSERT_TRUE(backend->read_snapshot().has_value());
+  EXPECT_GT(backend->snapshot_epoch(), 0u);
+  EXPECT_LE(backend->snapshot_epoch(), primary.epoch());
+}
 
-  backend->compact(12, bytes_of("not a sharded snapshot"));
-  server::ShardedGroupKeyServer replica(config, transport);
+TEST(ShardedCompaction, SnapshotRoundTripsIntoAFreshServer) {
+  const auto backend = storage::make_memory_backend(4);
+  transport::NullTransport transport;
+  server::ShardedGroupKeyServer primary(compacting_config(87, backend),
+                                        transport);
+  sharded_churn(primary);
+  const Bytes snapshot = primary.snapshot();
+
+  // The documented layout: the K = 1 bytes, then K, the other trees and G.
+  ByteReader reader(snapshot);
+  EXPECT_EQ(reader.u64(), primary.epoch());
+  EXPECT_EQ(reader.var_bytes(), primary.shard_view(0)->serialize());
+  EXPECT_EQ(reader.u32(), 4u);
+  for (std::size_t shard = 1; shard < 4; ++shard) {
+    EXPECT_EQ(reader.var_bytes(), primary.shard_view(shard)->serialize());
+  }
+  EXPECT_EQ(reader.var_bytes(), primary.group_key().secret);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(primary.group_key().version, primary.epoch());
+
+  // A fresh K = 4 server with another seed and no journal.
+  server::ShardedServerConfig config;
+  config.shards = 4;
+  config.base.tree_degree = 4;
+  config.base.rng_seed = 4242;
+  server::ShardedGroupKeyServer fresh(config, transport);
+  fresh.restore(snapshot);
+  expect_same_group(fresh, primary);
+  EXPECT_EQ(fresh.snapshot(), snapshot);
+
+  // The restored root layer continues the stitched epoch stream.
+  fresh.join(999);
+  primary.join(999);
+  EXPECT_EQ(fresh.epoch(), primary.epoch());
+  EXPECT_EQ(fresh.group_key().version, fresh.epoch());
+}
+
+TEST(ShardedCompaction, ReplicaRecoversFromSnapshotPlusTail) {
+  const auto backend = storage::make_memory_backend(4);
+  transport::NullTransport transport;
+  server::ShardedGroupKeyServer primary(compacting_config(89, backend),
+                                        transport);
+  sharded_churn(primary);
+  primary.join(400);  // leave a tail after the last compaction
+  DurableStore reader(backend, 0);
+  const RecoveredLog log = reader.load(RecoveryOptions{});
+  ASSERT_TRUE(log.snapshot.has_value());
+  EXPECT_FALSE(log.records.empty());
+  EXPECT_LE(log.records.size(), 8u);
+  EXPECT_EQ(log.snapshot_epoch + log.records.size(), primary.epoch());
+
+  server::ShardedGroupKeyServer replica(compacting_config(4343, backend),
+                                        transport);
+  replica.recover_from_storage();
+  expect_same_group(replica, primary);
+  EXPECT_EQ(replica.snapshot(), primary.snapshot());
+}
+
+TEST(ShardedCompaction, MismatchedOrMalformedSnapshotsFailTyped) {
+  const auto backend = storage::make_memory_backend(4);
+  transport::NullTransport transport;
+  server::ShardedGroupKeyServer primary(compacting_config(91, backend),
+                                        transport);
+  sharded_churn(primary);
+  const Bytes snapshot = primary.snapshot();
+
+  server::ShardedServerConfig config;
+  config.base.tree_degree = 4;
+  config.shards = 2;
+  server::ShardedGroupKeyServer two(config, transport);
+  EXPECT_THROW(two.restore(snapshot), ProtocolError);
+  config.shards = 1;
+  server::ShardedGroupKeyServer one(config, transport);
+  EXPECT_THROW(one.restore(snapshot), ProtocolError);
+  one.join(1);
+  config.shards = 4;
+  server::ShardedGroupKeyServer four(config, transport);
+  EXPECT_THROW(four.restore(one.snapshot()), ProtocolError);
+
+  // Garbage in a multi-lane snapshot: cut short, trailing bytes, a G of
+  // the wrong size, a damaged second tree (after the first one parsed).
+  Bytes trailing = snapshot;
+  trailing.push_back(0);
+  ByteWriter seven;
+  seven.var_bytes(Bytes(7, 1));
+  const Bytes short_secret = concat(
+      BytesView(snapshot).first(snapshot.size() - 12), seven.take());
+  Bytes bad_tree = snapshot;
+  bad_tree[12 + primary.shard_view(0)->serialize().size() + 8] ^= 0xff;
+  for (const Bytes& garbage :
+       {Bytes(snapshot.begin(), snapshot.end() - 3), trailing, short_secret,
+        bad_tree}) {
+    EXPECT_THROW(four.restore(garbage), ParseError);
+  }
+  // Every failure left the server untouched.
+  EXPECT_EQ(four.epoch(), 0u);
+  EXPECT_EQ(four.member_count(), 0u);
+
+  // Recovery turns both into a typed journal error.
+  server::ShardedServerConfig two_lanes = compacting_config(91, backend, 2);
+  server::ShardedGroupKeyServer wrong_k(two_lanes, transport);
+  EXPECT_THROW(wrong_k.recover_from_storage(), storage::JournalCorruptError);
+  backend->compact(primary.epoch(), trailing);
+  server::ShardedGroupKeyServer replica(compacting_config(91, backend),
+                                        transport);
   EXPECT_THROW(replica.recover_from_storage(), storage::JournalCorruptError);
 }
 
@@ -728,6 +904,85 @@ TEST(Standby, TailsAShardedPrimaryAndPromotes) {
     EXPECT_EQ(replica.shard_view(shard)->users(),
               promoted.shard_view(shard)->users());
   }
+}
+
+// A standby polling every fifth op falls behind compactions (interval 8)
+// and must resume from each new snapshot rather than wait for records
+// that compaction removed; after promotion the stream continues.
+TEST(Standby, TailsAShardedPrimaryAcrossCompactions) {
+  const auto backend = storage::make_memory_backend(4);
+  transport::NullTransport transport;
+  auto primary = std::make_unique<server::ShardedGroupKeyServer>(
+      compacting_config(95, backend), transport);
+  server::StandbyServer standby(compacting_config(95, backend), transport);
+
+  std::size_t ops = 0;
+  std::uint64_t generation = backend->generation();
+  std::size_t compactions_crossed = 0;
+  sharded_churn(*primary, [&] {
+    if (++ops % 5 != 0) return;
+    standby.poll();
+    EXPECT_EQ(standby.epoch(), primary->epoch());
+    if (backend->generation() != generation) ++compactions_crossed;
+    generation = backend->generation();
+  });
+  standby.poll();
+  EXPECT_GE(compactions_crossed, 2u);
+  expect_same_group(standby.server(), *primary);
+
+  const std::uint64_t at_death = primary->epoch();
+  primary.reset();  // the primary dies
+
+  server::ShardedGroupKeyServer& promoted = standby.promote();
+  EXPECT_EQ(promoted.epoch(), at_death);
+  for (UserId user = 600; user < 612; ++user) promoted.join(user);
+  EXPECT_EQ(promoted.epoch(), at_death + 12);
+
+  // The promoted server compacts the same lanes; a cold replica with
+  // another seed recovers its group from the snapshot plus tail.
+  server::ShardedGroupKeyServer replica(compacting_config(96, backend),
+                                        transport);
+  replica.recover_from_storage();
+  expect_same_group(replica, promoted);
+}
+
+// Two writers mutate a K = 4 primary while a third thread tails it, so
+// compactions land between and during the standby's reads.
+TEST(Standby, TailsConcurrentShardedWritersAcrossCompactions) {
+  const auto backend = storage::make_memory_backend(4);
+  transport::NullTransport transport;
+  server::ShardedGroupKeyServer primary(compacting_config(97, backend),
+                                        transport);
+  server::StandbyServer standby(compacting_config(97, backend), transport);
+  std::vector<UserId> preloaded;
+  for (UserId user = 1; user <= 64; ++user) preloaded.push_back(user);
+  primary.preload(preloaded);
+
+  std::atomic<bool> done{false};
+  std::string tail_error;
+  std::thread tailer([&] {
+    try {
+      while (!done.load()) standby.poll();
+    } catch (const std::exception& error) {
+      tail_error = error.what();
+    }
+  });
+  std::vector<std::thread> writers;
+  for (UserId base : {UserId{1000}, UserId{2000}}) {
+    writers.emplace_back([&primary, base] {
+      for (UserId i = 0; i < 40; ++i) {
+        primary.join(base + i);
+        if (i % 3 == 2) primary.leave(base + i - 1);
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  done = true;
+  tailer.join();
+  EXPECT_EQ(tail_error, "");
+  standby.poll();
+  EXPECT_GE(backend->generation(), 4u);
+  expect_same_group(standby.server(), primary);
 }
 
 TEST(Standby, RequiresStorage) {

@@ -486,17 +486,44 @@ TEST(Telemetry, StageSumTracksProcessingTimeAtFourShards) {
   server::ShardedGroupKeyServer server(config, transport);
   for (UserId user = 1; user <= 32; ++user) server.join(user);
   server.stats().reset();
+  // Every call below records exactly one operation; its record is the
+  // last one right after the call.
+  std::size_t ops = 0;
+  const auto expect_send_stage = [&] {
+    ASSERT_EQ(server.stats().size(), ++ops);
+    EXPECT_GT(
+        server.stats().last()->stage_us[static_cast<std::size_t>(Stage::kSend)],
+        0.0);
+  };
   for (UserId user = 100; user < 120; ++user) {
     server.join(user);
+    expect_send_stage();
     server.leave(user - 90);
+    expect_send_stage();
   }
-  server.batch({200, 201, 202, 203}, {1, 2, 3, 4});
+  // batch() runs one operation per affected shard, in shard order; handing
+  // it each shard's part of a multi-shard batch in turn runs the same
+  // operations one call at a time.
+  std::vector<std::vector<UserId>> joins(4);
+  std::vector<std::vector<UserId>> leaves(4);
+  for (const UserId user : {200, 201, 202, 203}) {
+    joins[server.shard_of(user)].push_back(user);
+  }
+  for (const UserId user : {1, 2, 3, 4}) {
+    leaves[server.shard_of(user)].push_back(user);
+  }
+  std::size_t shards_batched = 0;
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    if (joins[shard].empty() && leaves[shard].empty()) continue;
+    server.batch(joins[shard], leaves[shard]);
+    expect_send_stage();
+    ++shards_batched;
+  }
+  EXPECT_GT(shards_batched, 1u);
   server.resync(5);
+  expect_send_stage();
 
   ASSERT_GT(server.stats().size(), 40u);
-  for (const server::OpRecord& op : server.stats().records()) {
-    EXPECT_GT(op.stage_us[static_cast<std::size_t>(Stage::kSend)], 0.0);
-  }
   const server::Summary all = server.stats().summarize_all();
   const double processing_us = all.avg_processing_ms * 1000.0;
   const double stage_sum_us = all.measured_stage_us();

@@ -112,6 +112,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // One log line per request: line-buffered even when stdout is a file, so
+  // a reader of the log (or a crash) never misses a line the daemon wrote.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
+
   server::ServerSpec spec;
   try {
     spec = server::load_server_spec(argv[1]);
@@ -123,22 +127,6 @@ int main(int argc, char** argv) {
   const bool telemetry_on = spec.telemetry != server::TelemetryFormat::kOff;
   telemetry::set_enabled(telemetry_on);
   telemetry::ConvergenceMonitor::global().set_slo_us(spec.convergence_slo_us);
-
-  // The production scrape path: /metrics, /healthz and /trace on loopback,
-  // served from a dedicated thread so a scrape never blocks the receive
-  // loop below. SIGUSR1 stderr dumps stay available as the fallback.
-  std::optional<telemetry::TelemetryHttpServer> http;
-  if (spec.telemetry_http_port.has_value()) {
-    try {
-      http.emplace(*spec.telemetry_http_port);
-    } catch (const Error& error) {
-      std::fprintf(stderr, "keyserverd: %s\n", error.what());
-      return 2;
-    }
-    std::printf("keyserverd: telemetry http on 127.0.0.1:%u "
-                "(/metrics /healthz /trace)\n",
-                static_cast<unsigned>(http->port()));
-  }
 
   transport::UdpSocket socket =
       spec.port != 0 ? transport::UdpSocket(spec.port)
@@ -171,6 +159,24 @@ int main(int argc, char** argv) {
 
   for (UserId user = 1; user <= spec.initial_size; ++user) {
     server.join(user);
+  }
+
+  // The production scrape path: /metrics, /healthz and /trace on loopback,
+  // served from a dedicated thread so a scrape never blocks the receive
+  // loop below. SIGUSR1 stderr dumps stay available as the fallback.
+  // Started only now, after recovery and the initial cohort have
+  // committed, so the first /healthz answer means the state is complete.
+  std::optional<telemetry::TelemetryHttpServer> http;
+  if (spec.telemetry_http_port.has_value()) {
+    try {
+      http.emplace(*spec.telemetry_http_port);
+    } catch (const Error& error) {
+      std::fprintf(stderr, "keyserverd: %s\n", error.what());
+      return 2;
+    }
+    std::printf("keyserverd: telemetry http on 127.0.0.1:%u "
+                "(/metrics /healthz /trace)\n",
+                static_cast<unsigned>(http->port()));
   }
 
   std::signal(SIGINT, handle_signal);
