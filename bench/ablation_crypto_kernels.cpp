@@ -1,16 +1,11 @@
-// Ablation — fast crypto kernels and the wrapping-key schedule cache.
+// Ablation — fast crypto kernels.
 //
-// Two questions, answered with the production code paths:
-//   1. How much faster are the table-driven AES/DES kernels than the
-//      retained bit-loop reference kernels (crypto/reference.h), measured
-//      as CBC throughput over a key-wrap-sized payload?
-//   2. What hit rate does the executor's schedule cache reach under the
-//      paper's fig-10 style churn (group-oriented rekeying, 1:1
-//      join/leave) once plan-target warming is in effect?
+// How much faster are the table-driven AES/DES kernels than the retained
+// bit-loop reference kernels (crypto/reference.h), measured as CBC
+// throughput through the production encrypt_into path?
 //
-// Knobs: KG_KERNEL_MS per-kernel measurement window (default 200 ms),
-// KG_GROUP_SIZE initial group (default 4096), KG_REQUESTS churn requests
-// (default 1000). Emits one JSON line per result to $KG_BENCH_JSON.
+// Knob: KG_KERNEL_MS per-kernel measurement window (default 200 ms).
+// Emits one JSON line per result to $KG_BENCH_JSON.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -21,8 +16,6 @@
 #include "crypto/des.h"
 #include "crypto/random.h"
 #include "crypto/reference.h"
-#include "server/sharded_server.h"
-#include "sim/workload.h"
 
 namespace keygraphs {
 namespace {
@@ -65,11 +58,11 @@ void kernel_section() {
   };
   Pair pairs[] = {
       {"AES-128",
-       crypto::CbcCipher(std::make_shared<crypto::Aes128>(aes_key)),
+       crypto::CbcCipher(std::make_unique<crypto::Aes128>(aes_key)),
        crypto::CbcCipher(
-           std::make_shared<crypto::ReferenceAes128>(aes_key))},
-      {"DES", crypto::CbcCipher(std::make_shared<crypto::Des>(des_key)),
-       crypto::CbcCipher(std::make_shared<crypto::ReferenceDes>(des_key))},
+           std::make_unique<crypto::ReferenceAes128>(aes_key))},
+      {"DES", crypto::CbcCipher(std::make_unique<crypto::Des>(des_key)),
+       crypto::CbcCipher(std::make_unique<crypto::ReferenceDes>(des_key))},
   };
 
   std::printf("Kernel ablation: CBC blocks/sec, table-driven vs bit-loop "
@@ -100,81 +93,11 @@ void kernel_section() {
   std::printf("\n");
 }
 
-void schedule_cache_section() {
-  const std::size_t n = bench::env_size("KG_GROUP_SIZE", 4096);
-  const std::size_t requests = bench::env_size("KG_REQUESTS", 1000);
-
-  server::ServerConfig config;
-  config.tree_degree = 4;
-  config.suite.cipher = crypto::CipherAlgorithm::kAes128;
-  config.strategy = rekey::StrategyKind::kGroupOriented;
-  config.rng_seed = 1;
-  transport::NullTransport transport;
-  server::ShardedGroupKeyServer server(server::ShardedServerConfig{config},
-                                       transport);
-
-  sim::WorkloadGenerator workload(1);
-  for (const sim::Request& request : workload.initial_joins(n)) {
-    server.join(request.user);
-  }
-
-  // Measure the churn window only: the build phase above has its own
-  // (cold) cache behavior and the paper never measures group construction.
-  auto& registry = telemetry::Registry::global();
-  const auto hits0 = registry.counter("rekey.schedule_cache.hits").value();
-  const auto misses0 =
-      registry.counter("rekey.schedule_cache.misses").value();
-  const auto inserts0 =
-      registry.counter("rekey.schedule_cache.inserts").value();
-
-  for (const sim::Request& request : workload.churn(requests)) {
-    if (request.kind == sim::RequestKind::kJoin) {
-      server.join(request.user);
-    } else {
-      server.leave(request.user);
-    }
-  }
-
-  const auto hits =
-      registry.counter("rekey.schedule_cache.hits").value() - hits0;
-  const auto misses =
-      registry.counter("rekey.schedule_cache.misses").value() - misses0;
-  const auto inserts =
-      registry.counter("rekey.schedule_cache.inserts").value() - inserts0;
-  const double lookups = static_cast<double>(hits + misses);
-  const double hit_rate_pct =
-      lookups == 0.0 ? 0.0 : 100.0 * static_cast<double>(hits) / lookups;
-
-  std::printf("Schedule cache: group-oriented churn, n=%zu, %zu requests "
-              "(1:1 join/leave), AES-128\n\n", n, requests);
-  std::printf("  wrap-time lookups: %llu hits, %llu misses "
-              "(hit rate %.1f%%)\n",
-              static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(misses), hit_rate_pct);
-  std::printf("  plan-target warm inserts: %llu\n\n",
-              static_cast<unsigned long long>(inserts));
-  std::printf("(Warming builds each plan target's schedule once before the "
-              "wrap fan-out; lookups\nthen miss only on welcome-unicast "
-              "individual keys, never on plan targets.)\n");
-
-  char buffer[320];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\"bench\":\"ablation_crypto_kernels\","
-                "\"section\":\"schedule_cache\",\"n\":%zu,\"requests\":%zu,"
-                "\"hits\":%llu,\"misses\":%llu,\"inserts\":%llu,"
-                "\"hit_rate_pct\":%.2f}",
-                n, requests, static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses),
-                static_cast<unsigned long long>(inserts), hit_rate_pct);
-  bench::emit_json_line(buffer);
-}
-
 }  // namespace
 }  // namespace keygraphs
 
 int main() {
   keygraphs::bench::emit_header_json("ablation_crypto_kernels");
   keygraphs::kernel_section();
-  keygraphs::schedule_cache_section();
   return 0;
 }

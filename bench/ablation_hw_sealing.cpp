@@ -2,12 +2,11 @@
 //
 // Two questions, answered with the production pipeline at large n:
 //   1. Sealing: how many rekey operations per second can the executor
-//      seal, swept over AES kernel {table, aesni} x seal batch width
-//      {1, 8}? The multi-buffer win only exists on the hardware kernel
-//      (independent CBC streams interleave across AESENC latency), so the
-//      sweep separates kernel speedup from batching speedup. A SHA-256
-//      digest over every sealed wire byte is compared across all four
-//      configurations — the sweep is also a byte-identity proof.
+//      seal on each AES kernel {table, aesni}? The executor seals wrap ops
+//      in batches of 8, the AES-NI kernel's interleave width, so on the
+//      hardware kernel independent CBC streams overlap their AESENC
+//      latency. A SHA-256 digest over every sealed wire byte is compared
+//      across the kernels — the sweep is also a byte-identity proof.
 //   2. Fan-out: how many datagrams per second does one rekey broadcast
 //      reach n registered UDP peers at, sendto-per-datagram vs gathered
 //      sendmmsg, and how many syscalls did each need? The sendmmsg bound
@@ -41,7 +40,6 @@ namespace {
 struct SealConfig {
   const char* kernel;  // "table" | "aesni"
   bool aesni;
-  std::size_t batch;
 };
 
 /// Digest over every wire byte of every sealed message, in order: equal
@@ -81,10 +79,9 @@ void seal_section(KeyTree& tree, crypto::SecureRandom& rng,
 
   const rekey::RekeySealer sealer(rekey::SigningMode::kNone,
                                   crypto::DigestAlgorithm::kNone, nullptr);
-  std::vector<SealConfig> configs = {{"table", false, 1}, {"table", false, 8}};
+  std::vector<SealConfig> configs = {{"table", false}};
   if (crypto::cpu_features().aesni_usable()) {
-    configs.push_back({"aesni", true, 1});
-    configs.push_back({"aesni", true, 8});
+    configs.push_back({"aesni", true});
   } else {
     std::printf("(AES-NI unusable on this host: hardware rows skipped)\n");
   }
@@ -93,7 +90,6 @@ void seal_section(KeyTree& tree, crypto::SecureRandom& rng,
               "1 seal thread, %zu pre-planned ops\n\n",
               tree.user_count() + plans.size(), plans.size());
   sim::TablePrinter table({{"kernel", 7},
-                           {"batch", 6},
                            {"rekeys/s", 10},
                            {"wraps/s", 10},
                            {"identical", 10}});
@@ -102,11 +98,8 @@ void seal_section(KeyTree& tree, crypto::SecureRandom& rng,
   Bytes reference_digest;
   for (const SealConfig& config : configs) {
     crypto::override_aesni_dispatch(config.aesni);
-    rekey::RekeyExecutor executor(crypto::CipherAlgorithm::kAes128, 1,
-                                  rekey::RekeyExecutor::kDefaultCacheCapacity,
-                                  config.batch);
-    // Identity pass (also warms the schedule cache so every config times
-    // the same steady state).
+    rekey::RekeyExecutor executor(crypto::CipherAlgorithm::kAes128, 1);
+    // Identity pass, which also warms the caches and the allocator.
     const Bytes digest = wires_digest(executor, plans, sealer);
     if (reference_digest.empty()) reference_digest = digest;
     const bool identical = digest == reference_digest;
@@ -133,17 +126,16 @@ void seal_section(KeyTree& tree, crypto::SecureRandom& rng,
     const double wraps_per_sec =
         rekeys_per_sec * (static_cast<double>(wraps_per_pass) /
                           static_cast<double>(plans.size()));
-    table.row({config.kernel, sim::TablePrinter::num(config.batch),
-               sim::TablePrinter::num(rekeys_per_sec, 0),
+    table.row({config.kernel, sim::TablePrinter::num(rekeys_per_sec, 0),
                sim::TablePrinter::num(wraps_per_sec, 0),
                identical ? "yes" : "NO"});
     char buffer[320];
     std::snprintf(buffer, sizeof(buffer),
                   "{\"bench\":\"ablation_hw_sealing\",\"section\":\"seal\","
-                  "\"kernel\":\"%s\",\"seal_batch\":%zu,"
+                  "\"kernel\":\"%s\","
                   "\"sealed_rekeys_per_sec\":%.0f,\"wraps_per_sec\":%.0f,"
                   "\"wire_identical\":%s}",
-                  config.kernel, config.batch, rekeys_per_sec, wraps_per_sec,
+                  config.kernel, rekeys_per_sec, wraps_per_sec,
                   identical ? "true" : "false");
     bench::emit_json_line(buffer);
   }

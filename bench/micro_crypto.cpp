@@ -24,7 +24,6 @@
 #include "crypto/rsa.h"
 #include "crypto/suite.h"
 #include "merkle/batch_signer.h"
-#include "rekey/schedule_cache.h"
 
 namespace keygraphs::crypto {
 namespace {
@@ -67,33 +66,17 @@ void BM_AesNiBlock(benchmark::State& state) {
 BENCHMARK(BM_AesNiBlock);
 
 void BM_CbcKeyWrap(benchmark::State& state) {
-  // One rekey payload item: CBC-encrypt one 8-byte key (incl. key schedule,
-  // the per-wrap cost the server pays 2(h-1) times per join).
+  // One rekey payload item: CBC-encrypt one 8-byte key, including the key
+  // schedule the server expands for every wrap, 2(h-1) times per join.
   SecureRandom rng(3);
   const Bytes wrapping_key = rng.bytes(8);
   const Bytes payload = rng.bytes(8);
   for (auto _ : state) {
-    const CbcCipher cbc(std::make_shared<Des>(wrapping_key));
+    const CbcCipher cbc(std::make_unique<Des>(wrapping_key));
     benchmark::DoNotOptimize(cbc.encrypt(payload, rng));
   }
 }
 BENCHMARK(BM_CbcKeyWrap);
-
-void BM_CbcKeyWrapCached(benchmark::State& state) {
-  // The same wrap served from the schedule cache: what the executor pays
-  // once the wrapping key's expansion is resident (the common case after
-  // plan-target warming).
-  SecureRandom rng(3);
-  const Bytes wrapping_key = rng.bytes(8);
-  const Bytes payload = rng.bytes(8);
-  rekey::ScheduleCache cache(8);
-  const KeyRef ref{1, 1};
-  for (auto _ : state) {
-    const CbcCipher cbc(cache.get(CipherAlgorithm::kDes, ref, wrapping_key));
-    benchmark::DoNotOptimize(cbc.encrypt(payload, rng));
-  }
-}
-BENCHMARK(BM_CbcKeyWrapCached);
 
 void BM_Digest(benchmark::State& state, DigestAlgorithm algorithm) {
   SecureRandom rng(4);

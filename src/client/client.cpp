@@ -99,11 +99,11 @@ std::size_t GroupClient::apply_message(const rekey::RekeyMessage& message,
       consumed[i] = true;
       progress = true;
 
-      // The wrapping key's schedule is cached: a path key unwraps many
-      // rekey messages before it is itself replaced. decrypt_into writes
-      // into the reusable scratch buffer — no allocation per blob.
-      const crypto::CbcCipher cbc(schedules_.get(
-          config_.suite.cipher, held->second.ref(), held->second.secret));
+      // One schedule per blob, built from the key we hold and wiped when
+      // it goes out of scope. decrypt_into writes into the reusable
+      // scratch buffer.
+      const crypto::CbcCipher cbc(
+          crypto::make_cipher(config_.suite.cipher, held->second.secret));
       if (unwrap_scratch_.size() < blob.ciphertext.size()) {
         unwrap_scratch_.resize(blob.ciphertext.size());
       }
@@ -126,7 +126,6 @@ std::size_t GroupClient::apply_message(const rekey::RekeyMessage& message,
             existing->second.version < target.version) {
           keys_[target.id] = SymmetricKey{target.id, target.version,
                                           Bytes(secret, secret + key_size)};
-          schedules_.invalidate_older(target);
           ++outcome.keys_changed;
         }
       }
@@ -134,10 +133,7 @@ std::size_t GroupClient::apply_message(const rekey::RekeyMessage& message,
     }
   }
 
-  for (KeyId id : message.obsolete) {
-    keys_.erase(id);
-    schedules_.invalidate_id(id);
-  }
+  for (KeyId id : message.obsolete) keys_.erase(id);
 
   outcome.keys_decrypted += decrypted;
   return decrypted;
@@ -466,7 +462,6 @@ Bytes GroupClient::open_application(BytesView sealed) const {
 void GroupClient::forget_keys() {
   for (auto& [id, key] : keys_) secure_wipe(key.secret);
   keys_.clear();
-  schedules_.clear();
   secure_wipe(unwrap_scratch_);
   pending_.clear();
   recovery_ = RecoveryState::kSynced;  // a departed member owes nothing

@@ -20,7 +20,6 @@
 #include "crypto/rsa.h"
 #include "crypto/suite.h"
 #include "rekey/codec.h"
-#include "rekey/schedule_cache.h"
 
 namespace keygraphs::client {
 
@@ -65,11 +64,6 @@ struct ClientConfig {
   std::uint64_t rng_seed = 0;
   /// Loss-recovery escalation policy (see RecoveryPolicy).
   RecoveryPolicy recovery;
-  /// Capacity of the unwrap ScheduleCache. A client holds O(log n) keys,
-  /// so the default covers them all; deployments that fan one process over
-  /// many GroupClients can shrink it. Spec key
-  /// `client_schedule_cache_capacity` carries the deployment-wide value.
-  std::size_t schedule_cache_capacity = 64;
 };
 
 /// Result of processing one rekey message.
@@ -233,10 +227,6 @@ class GroupClient {
   bool has_server_key_ = false;
   crypto::SecureRandom rng_;
   std::unordered_map<KeyId, SymmetricKey> keys_;
-  /// Schedules of held keys, reused across the unwrap fixpoint and across
-  /// messages (a path key unwraps many rekeys before it is itself rekeyed).
-  rekey::ScheduleCache schedules_{config_.schedule_cache_capacity,
-                                  "client.schedule_cache"};
   Bytes unwrap_scratch_;  // decrypt_into target; wiped after each message
   std::uint64_t last_epoch_ = 0;
   std::uint64_t applied_epoch_ = 0;

@@ -6,6 +6,7 @@
 // wire-format layers need.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -43,5 +44,11 @@ void secure_wipe(Bytes& data) noexcept;
 
 /// Raw-buffer overload for caller-owned scratch (e.g. CBC decrypt output).
 void secure_wipe(std::uint8_t* data, std::size_t size) noexcept;
+
+/// Fixed-array overload for key schedules (a cipher's round keys).
+template <typename T, std::size_t N>
+void secure_wipe(std::array<T, N>& data) noexcept {
+  secure_wipe(reinterpret_cast<std::uint8_t*>(data.data()), sizeof(data));
+}
 
 }  // namespace keygraphs

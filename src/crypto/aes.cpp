@@ -74,6 +74,11 @@ Aes128::Aes128(BytesView key) {
   }
 }
 
+Aes128::~Aes128() {
+  secure_wipe(round_keys_);
+  secure_wipe(dec_round_keys_);
+}
+
 void Aes128::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
   const AesTables& t = aes_tables();
   const std::uint32_t* rk = round_keys_.data();

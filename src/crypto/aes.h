@@ -23,6 +23,7 @@ class Aes128 final : public BlockCipher {
 
   /// Expands the key schedule. Throws CryptoError if key size != 16.
   explicit Aes128(BytesView key);
+  ~Aes128() override;
 
   [[nodiscard]] std::size_t block_size() const noexcept override {
     return kBlockSize;

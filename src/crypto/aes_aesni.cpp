@@ -23,6 +23,11 @@ bool aesni_kernel_compiled() noexcept {
 #endif
 }
 
+Aes128Ni::~Aes128Ni() {
+  secure_wipe(enc_keys_);
+  secure_wipe(dec_keys_);
+}
+
 bool Aes128Ni::supported() noexcept {
   return cpu_features().aesni_usable();
 }

@@ -45,6 +45,7 @@ class Aes128Ni final : public BlockCipher {
   /// Expands both schedules with AESKEYGENASSIST/AESIMC. Throws
   /// CryptoError if key size != 16 or !supported().
   explicit Aes128Ni(BytesView key);
+  ~Aes128Ni() override;
 
   [[nodiscard]] std::size_t block_size() const noexcept override {
     return kBlockSize;

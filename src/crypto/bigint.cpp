@@ -394,7 +394,7 @@ bool BigInt::is_probable_prime(SecureRandom& rng, int rounds) const {
     if (x == BigInt{1} || x == n_minus_1) continue;
     bool composite = true;
     for (std::size_t i = 1; i < s; ++i) {
-      x = mont.mod_exp(x, two);
+      x = (x * x) % *this;
       if (x == n_minus_1) {
         composite = false;
         break;

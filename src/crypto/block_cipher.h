@@ -29,6 +29,8 @@ enum class BlockKernel : std::uint8_t {
 /// A raw block cipher: fixed block and key size, one-block ECB primitives.
 /// Implementations are immutable after construction (key schedule is built
 /// in the constructor), so a const instance is safe to share across threads.
+/// Their destructors wipe the schedule: AES round key 0 is the key itself,
+/// and DES's 16 subkeys together carry all 56 key bits.
 class BlockCipher {
  public:
   virtual ~BlockCipher() = default;

@@ -8,7 +8,7 @@
 
 namespace keygraphs::crypto {
 
-CbcCipher::CbcCipher(std::shared_ptr<const BlockCipher> cipher)
+CbcCipher::CbcCipher(std::unique_ptr<const BlockCipher> cipher)
     : cipher_(std::move(cipher)) {
   if (!cipher_) throw CryptoError("CbcCipher: null cipher");
 }

@@ -2,7 +2,10 @@
 //
 // The paper encrypts new keys with DES-CBC; every rekey payload item in this
 // reproduction is one CBC encryption of the new key bytes under an existing
-// key, with a fresh random IV prepended to the ciphertext.
+// key, with a fresh random IV prepended to the ciphertext. Each CbcCipher
+// owns the one keyed schedule it runs on; callers build one per wrapping
+// key from crypto::make_cipher and drop it when done, which wipes the
+// round keys (every BlockCipher kernel wipes them on destruction).
 #pragma once
 
 #include <memory>
@@ -17,8 +20,8 @@ class SecureRandom;
 /// Stateless CBC helpers bound to a keyed block cipher.
 class CbcCipher {
  public:
-  /// Takes shared ownership of a keyed cipher.
-  explicit CbcCipher(std::shared_ptr<const BlockCipher> cipher);
+  /// Takes ownership of a keyed cipher. Throws CryptoError on null.
+  explicit CbcCipher(std::unique_ptr<const BlockCipher> cipher);
 
   /// Encrypts `plaintext` with a random IV drawn from `rng`.
   /// Output layout: IV || ciphertext blocks. Always at least two blocks
@@ -71,7 +74,7 @@ class CbcCipher {
   [[nodiscard]] const BlockCipher& cipher() const noexcept { return *cipher_; }
 
  private:
-  std::shared_ptr<const BlockCipher> cipher_;
+  std::unique_ptr<const BlockCipher> cipher_;
 };
 
 }  // namespace keygraphs::crypto

@@ -41,6 +41,8 @@ std::uint32_t feistel(const DesTables& t, std::uint32_t half,
 
 Des::Des(BytesView key) : round_keys_(des_key_schedule(key)) {}
 
+Des::~Des() { secure_wipe(round_keys_); }
+
 void Des::crypt_block(const std::uint8_t* in, std::uint8_t* out,
                       bool decrypt) const {
   const DesTables& t = des_tables();

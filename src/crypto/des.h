@@ -24,6 +24,7 @@ class Des final : public BlockCipher {
 
   /// Builds the 16-round key schedule. Throws CryptoError if key size != 8.
   explicit Des(BytesView key);
+  ~Des() override;
 
   [[nodiscard]] std::size_t block_size() const noexcept override {
     return kBlockSize;

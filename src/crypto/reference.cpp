@@ -111,6 +111,8 @@ ReferenceAes128::ReferenceAes128(BytesView key) {
   }
 }
 
+ReferenceAes128::~ReferenceAes128() { secure_wipe(round_keys_); }
+
 void ReferenceAes128::encrypt_block(const std::uint8_t* in,
                                     std::uint8_t* out) const {
   State st;
@@ -147,6 +149,8 @@ void ReferenceAes128::decrypt_block(const std::uint8_t* in,
 
 ReferenceDes::ReferenceDes(BytesView key)
     : round_keys_(des_key_schedule(key)) {}
+
+ReferenceDes::~ReferenceDes() { secure_wipe(round_keys_); }
 
 void ReferenceDes::crypt_block(const std::uint8_t* in, std::uint8_t* out,
                                bool decrypt) const {

@@ -30,6 +30,7 @@ class ReferenceAes128 final : public BlockCipher {
   static constexpr int kRounds = 10;
 
   explicit ReferenceAes128(BytesView key);
+  ~ReferenceAes128() override;
 
   [[nodiscard]] std::size_t block_size() const noexcept override {
     return kBlockSize;
@@ -55,6 +56,7 @@ class ReferenceDes final : public BlockCipher {
   static constexpr std::size_t kKeySize = 8;
 
   explicit ReferenceDes(BytesView key);
+  ~ReferenceDes() override;
 
   [[nodiscard]] std::size_t block_size() const noexcept override {
     return kBlockSize;

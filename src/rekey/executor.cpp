@@ -1,7 +1,8 @@
 #include "rekey/executor.h"
 
-#include <unordered_set>
+#include <algorithm>
 
+#include "crypto/aes_aesni.h"
 #include "telemetry/stage.h"
 
 namespace keygraphs::rekey {
@@ -9,12 +10,20 @@ namespace keygraphs::rekey {
 using telemetry::Stage;
 using telemetry::StageScope;
 
+namespace {
+
+/// Wrap ops sealed per work unit: the AES-NI kernel's interleave width.
+/// Output is byte-identical at any batch size or thread split (work is
+/// keyed by op index).
+constexpr std::size_t kSealBatch = crypto::kAesNiMaxStreams;
+
+}  // namespace
+
 /// Resolves the WrapOps [begin, end) of one batch. Runs on any thread:
-/// reads only the immutable plan, the (thread-safe) schedule cache, and
-/// per-worker scratch buffers; bumps the (atomic) global encryption
-/// counter. The whole batch goes through one encrypt_many_into call, so
-/// on the AES-NI kernel its independent CBC streams pipeline; the bytes
-/// are identical to sealing each op alone.
+/// reads only the immutable plan and per-worker scratch buffers; bumps the
+/// (atomic) global encryption counter. The whole batch goes through one
+/// encrypt_many_into call, so on the AES-NI kernel its independent CBC
+/// streams pipeline; the bytes are identical to sealing each op alone.
 void RekeyExecutor::seal_wrap_batch(const RekeyPlan& plan, std::size_t begin,
                                     std::size_t end,
                                     std::vector<KeyBlob>& blobs) {
@@ -42,7 +51,8 @@ void RekeyExecutor::seal_wrap_batch(const RekeyPlan& plan, std::size_t begin,
       scratch.insert(scratch.end(), secret.begin(), secret.end());
     }
     extents.emplace_back(offset, scratch.size() - offset);
-    ciphers.emplace_back(cache_.get(cipher_, op.wrap, plan.keys.secret(op.wrap)));
+    ciphers.emplace_back(
+        crypto::make_cipher(cipher_, plan.keys.secret(op.wrap)));
     encryptions_in_batch += op.targets.size();
   }
   for (std::size_t i = begin; i < end; ++i) {
@@ -59,15 +69,14 @@ void RekeyExecutor::seal_wrap_batch(const RekeyPlan& plan, std::size_t begin,
     encryptions.add(encryptions_in_batch);
   }
   secure_wipe(scratch.data(), scratch.size());
+  // Destroying the ciphers wipes their schedules: none outlives its batch.
+  streams.clear();
+  ciphers.clear();
 }
 
 RekeyExecutor::RekeyExecutor(crypto::CipherAlgorithm cipher,
-                             std::size_t threads, std::size_t cache_capacity,
-                             std::size_t seal_batch)
-    : cipher_(cipher),
-      threads_(threads == 0 ? 1 : threads),
-      seal_batch_(seal_batch == 0 ? 1 : seal_batch),
-      cache_(cache_capacity, "rekey.schedule_cache") {
+                             std::size_t threads)
+    : cipher_(cipher), threads_(threads == 0 ? 1 : threads) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
 }
 
@@ -89,31 +98,16 @@ std::vector<SealedRekey> RekeyExecutor::seal(const RekeyPlan& plan,
   // 1. Wrap ops -> blobs: the paper's dominant server cost, and
   //    embarrassingly parallel. Shared ops (key-oriented chains, hybrid
   //    path blobs) are computed once here and copied per message below.
-  //    First warm the schedule cache with every plan target: fresh keys
-  //    are used as wrapping keys by other ops of this same plan, so
-  //    without warming each would be a first-touch miss inside the
-  //    fan-out. Warming counts as inserts, not hits or misses.
+  //    Fan out over batches of kSealBatch ops, not single ops: each work
+  //    unit multi-buffers its streams through one encrypt_many_into call.
   std::vector<KeyBlob> blobs(plan.ops.size());
   {
     const StageScope scope(Stage::kEncrypt);
-    std::unordered_set<KeyRef> warmed;
-    for (const WrapOp& op : plan.ops) {
-      for (const KeyRef& target : op.targets) {
-        if (warmed.insert(target).second) {
-          cache_.warm(cipher_, target, plan.keys.secret(target));
-        }
-      }
-    }
-    // Fan out over batches of seal_batch_ ops, not single ops: each work
-    // unit multi-buffers its streams through one encrypt_many_into call.
-    const std::size_t batches =
-        (plan.ops.size() + seal_batch_ - 1) / seal_batch_;
+    const std::size_t batches = (plan.ops.size() + kSealBatch - 1) / kSealBatch;
     run(batches, [&](std::size_t b) {
       const StageScope op_scope(Stage::kEncrypt);  // inert on pool workers
-      const std::size_t begin = b * seal_batch_;
-      const std::size_t end =
-          begin + seal_batch_ < plan.ops.size() ? begin + seal_batch_
-                                                : plan.ops.size();
+      const std::size_t begin = b * kSealBatch;
+      const std::size_t end = std::min(begin + kSealBatch, plan.ops.size());
       seal_wrap_batch(plan, begin, end, blobs);
     });
   }
@@ -158,16 +152,6 @@ std::vector<SealedRekey> RekeyExecutor::seal(const RekeyPlan& plan,
     });
   }
 
-  // 5. Retire cache entries this plan superseded: older versions of every
-  //    rekeyed node, and ids the messages declare obsolete (departed
-  //    members' individual keys, pruned k-nodes). Later plans can only
-  //    reference the versions that survive.
-  for (const WrapOp& op : plan.ops) {
-    for (const KeyRef& target : op.targets) cache_.invalidate_older(target);
-  }
-  for (const PlannedRekey& message : plan.messages) {
-    for (const KeyId id : message.header.obsolete) cache_.invalidate_id(id);
-  }
   return out;
 }
 

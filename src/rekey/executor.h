@@ -16,12 +16,10 @@
 // (the invariant the observability tests assert) instead of accumulated
 // CPU time.
 //
-// Key schedules are served from a ScheduleCache: before the wrap fan-out
-// the executor warms the cache with every plan target (fresh keys wrap
-// their siblings within the same plan, so lazy lookup would first-touch
-// miss on most of them), and after sealing it drops superseded versions
-// and obsoleted ids. None of this changes wire bytes — only where the
-// expanded round keys come from.
+// Every wrap op expands its own wrapping-key schedule (crypto::make_cipher)
+// inside the batch that seals it, and the batch frees it again before the
+// worker moves on: nothing keyed outlives the plan, so a (KeyId, version)
+// re-issued with a new secret can never meet a stale schedule.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +30,6 @@
 #include "common/thread_pool.h"
 #include "rekey/codec.h"
 #include "rekey/plan.h"
-#include "rekey/schedule_cache.h"
 
 namespace keygraphs::rekey {
 
@@ -44,24 +41,8 @@ struct SealedRekey {
 
 class RekeyExecutor {
  public:
-  /// Default bound on cached wrapping-key schedules. Generous relative to
-  /// tree sizes the simulator runs (every internal node of an n=4096, d=4
-  /// tree fits with room to spare) yet only ~a few MB of round keys.
-  static constexpr std::size_t kDefaultCacheCapacity = 8192;
-
-  /// Wrap ops sealed per work unit. Each unit is handed to
-  /// CbcCipher::encrypt_many_into, which interleaves up to
-  /// crypto::kAesNiMaxStreams independent CBC streams on the hardware
-  /// kernel — 8 matches that width. Output is byte-identical at any
-  /// batch size or thread split (work is keyed by op index).
-  static constexpr std::size_t kDefaultSealBatch = 8;
-
   /// `threads` >= 1; 1 means serial (no pool is created, no threads spawn).
-  /// `seal_batch` >= 1 is the wrap-op batch width (exposed for the
-  /// hardware-sealing ablation's batch sweep).
-  RekeyExecutor(crypto::CipherAlgorithm cipher, std::size_t threads,
-                std::size_t cache_capacity = kDefaultCacheCapacity,
-                std::size_t seal_batch = kDefaultSealBatch);
+  RekeyExecutor(crypto::CipherAlgorithm cipher, std::size_t threads);
 
   /// Seals every message of `plan` in plan order. Safe to call from
   /// several threads concurrently (the pool multiplexes batches); the
@@ -71,29 +52,21 @@ class RekeyExecutor {
 
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
-  /// The wrap-op batch width the seal fan-out uses.
-  [[nodiscard]] std::size_t seal_batch() const noexcept { return seal_batch_; }
-
-  /// The wrapping-key schedule cache (exposed for tests and benchmarks).
-  [[nodiscard]] ScheduleCache& schedule_cache() noexcept { return cache_; }
-
  private:
   /// fn(i) for i in [0, n), on the pool when it exists, inline otherwise.
   void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Resolves the WrapOps [begin, end) of `plan` into blobs[begin..end),
   /// multi-buffer: plaintexts are gathered into one per-worker scratch
-  /// buffer, ciphers come from the schedule cache, and all streams of the
-  /// batch go through one CbcCipher::encrypt_many_into call (no allocation
-  /// on the hot path once the per-worker buffers reach steady-state size).
+  /// buffer, each op's cipher is keyed from the plan's snapshot, and all
+  /// streams of the batch go through one CbcCipher::encrypt_many_into
+  /// call. The scratch and the schedules are wiped before it returns.
   void seal_wrap_batch(const RekeyPlan& plan, std::size_t begin,
                        std::size_t end, std::vector<KeyBlob>& blobs);
 
   crypto::CipherAlgorithm cipher_;
   std::size_t threads_;
-  std::size_t seal_batch_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
-  ScheduleCache cache_;
 };
 
 }  // namespace keygraphs::rekey

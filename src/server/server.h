@@ -11,7 +11,6 @@
 
 #include "crypto/suite.h"
 #include "rekey/codec.h"
-#include "rekey/executor.h"
 #include "rekey/strategy.h"
 #include "server/overload.h"
 #include "storage/backend.h"
@@ -50,13 +49,6 @@ struct ServerConfig {
   /// `recovery_rate` / `recovery_burst`.
   double recovery_rate = 16.0;
   double recovery_burst = 8.0;
-  /// Capacity of the RekeyExecutor's wrapping-key ScheduleCache (expanded
-  /// cipher schedules retained across seals; rekey/schedule_cache.h). The
-  /// default fits every internal node of the simulator's largest trees;
-  /// each shard lane gets its own cache of this size. Spec key
-  /// `schedule_cache_capacity`.
-  std::size_t schedule_cache_capacity =
-      rekey::RekeyExecutor::kDefaultCacheCapacity;
   /// Stamp every membership operation with a telemetry::TraceContext at
   /// plan time, emit rekey.plan/seal/dispatch spans for it, and carry the
   /// context on dispatched datagrams as the optional TraceExtension so

@@ -140,7 +140,7 @@ ShardedGroupKeyServer::ShardedGroupKeyServer(
   for (std::size_t i = 0; i < shards; ++i) {
     auto lane = std::make_unique<Lane>();
     lane->executor = std::make_unique<rekey::RekeyExecutor>(
-        base.suite.cipher, base.seal_threads, base.schedule_cache_capacity);
+        base.suite.cipher, base.seal_threads);
     lane->users = lane_gauge(i, "users");
     lane->epoch = lane_gauge(i, "epoch");
     lane->seal_us = lane_gauge(i, "seal_us");

@@ -3,11 +3,10 @@
 //
 // The user population is partitioned across K subtree shards
 // (keygraph/sharded_tree.h): each shard owns its own copy-on-write
-// KeyTree, its own deterministic rng, its own RekeyExecutor seal lane with
-// a private wrapping-key schedule cache, and its own mutex — a leaf
-// join/leave locks exactly one shard and one short root-layer critical
-// section, never a global tree lock. K = 1 (the default) is the paper's
-// single key tree.
+// KeyTree, its own deterministic rng, its own RekeyExecutor seal lane, and
+// its own mutex — a leaf join/leave locks exactly one shard and one short
+// root-layer critical section, never a global tree lock. K = 1 (the
+// default) is the paper's single key tree.
 //
 // Every membership operation runs plan, seal and dispatch on the caller's
 // thread:

@@ -210,13 +210,6 @@ ServerSpec parse_server_spec(std::string_view text) {
       }
     } else if (key == "convergence_slo_us") {
       spec.convergence_slo_us = parse_number(value, line_number);
-    } else if (key == "schedule_cache_capacity") {
-      const std::uint64_t capacity = parse_number(value, line_number);
-      if (capacity < 1 || capacity > (1u << 20)) {
-        fail(line_number, "bad schedule_cache_capacity");
-      }
-      spec.config.schedule_cache_capacity =
-          static_cast<std::size_t>(capacity);
     } else if (key == "storage") {
       if (value == "none") {
         spec.config.storage.kind = storage::Kind::kNone;
@@ -275,13 +268,6 @@ ServerSpec parse_server_spec(std::string_view text) {
         fail(line_number, "bad admission_burst");
       }
       spec.config.overload.admission_burst = static_cast<double>(burst);
-    } else if (key == "client_schedule_cache_capacity") {
-      const std::uint64_t capacity = parse_number(value, line_number);
-      if (capacity < 1 || capacity > (1u << 20)) {
-        fail(line_number, "bad client_schedule_cache_capacity");
-      }
-      spec.client_schedule_cache_capacity =
-          static_cast<std::size_t>(capacity);
     } else {
       fail(line_number, "unknown key '" + std::string(key) + "'");
     }

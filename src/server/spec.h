@@ -26,12 +26,6 @@
 //                                   carry them on the wire; default off)
 //   convergence_slo_us = <fleet convergence SLO in microseconds; samples
 //                         above it count as fleet.slo_violations; 0 = off>
-//   schedule_cache_capacity = <1..1048576 cached wrapping-key schedules in
-//                              the seal executor (per shard lane when the
-//                              server is sharded); default 8192>
-//   client_schedule_cache_capacity = <1..1048576 cached unwrap schedules
-//                                     handed to clients at admission;
-//                                     default 64>
 //   storage       = none | memory | file   (write-ahead journal backend;
 //                   default none. file requires journal_dir)
 //   journal_dir   = <directory for the file journal + snapshots;
@@ -87,11 +81,6 @@ struct ServerSpec {
   std::optional<std::uint16_t> telemetry_http_port;
   /// Fleet convergence SLO in microseconds; 0 disables the check.
   std::uint64_t convergence_slo_us = 0;
-  /// Unwrap ScheduleCache capacity the deployment hands to clients at
-  /// admission (ClientConfig::schedule_cache_capacity). Not part of
-  /// ServerConfig — the server never unwraps — but specified centrally so
-  /// a fleet rollout sizes every member identically.
-  std::size_t client_schedule_cache_capacity = 64;
 
   [[nodiscard]] AccessControl access_control() const {
     return acl.has_value() ? AccessControl::allow_list(*acl)

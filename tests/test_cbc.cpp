@@ -13,12 +13,12 @@ namespace keygraphs::crypto {
 namespace {
 
 CbcCipher des_cbc() {
-  return CbcCipher(std::make_shared<Des>(from_hex("133457799bbcdff1")));
+  return CbcCipher(std::make_unique<Des>(from_hex("133457799bbcdff1")));
 }
 
 CbcCipher aes_cbc() {
   return CbcCipher(
-      std::make_shared<Aes128>(from_hex("000102030405060708090a0b0c0d0e0f")));
+      std::make_unique<Aes128>(from_hex("000102030405060708090a0b0c0d0e0f")));
 }
 
 TEST(Cbc, RoundTripBasic) {
@@ -64,7 +64,7 @@ TEST(Cbc, DeterministicIvKnownStructure) {
 
 TEST(Cbc, Sp80038aAesKnownAnswer) {
   // NIST SP 800-38A F.2.1 (AES-128-CBC), first block.
-  const CbcCipher cbc(std::make_shared<Aes128>(
+  const CbcCipher cbc(std::make_unique<Aes128>(
       from_hex("2b7e151628aed2a6abf7158809cf4f3c")));
   const Bytes iv = from_hex("000102030405060708090a0b0c0d0e0f");
   const Bytes pt = from_hex("6bc1bee22e409f96e93d7e117393172a");

@@ -1,4 +1,4 @@
-// The table-driven AES/DES kernels and the schedule cache.
+// The table-driven AES/DES kernels, the AES-NI kernel and CBC over them.
 //
 // Three lines of defense pin the fast kernels to the specs:
 //   1. Multi-block NIST known answers (FIPS-197, SP 800-38A, FIPS-81)
@@ -7,12 +7,11 @@
 //      kernels (crypto/reference.h) over thousands of random keys/blocks.
 //   3. Equivalence of the zero-alloc encrypt_into/decrypt_into paths with
 //      the allocating CBC entry points, plus the bad-padding wipe contract.
-// The ScheduleCache tests cover sharing, eviction, invalidation, the
-// secret-mismatch rebuild, and concurrent access (run under TSan in CI).
+// Every kernel also wipes its round keys when it is destroyed.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
+#include <new>
 
 #include "common/error.h"
 #include "crypto/aes.h"
@@ -21,9 +20,9 @@
 #include "crypto/cpu_features.h"
 #include "crypto/des.h"
 #include "crypto/des3.h"
+#include "crypto/des_tables.h"
 #include "crypto/random.h"
 #include "crypto/reference.h"
-#include "rekey/schedule_cache.h"
 
 namespace keygraphs::crypto {
 namespace {
@@ -283,9 +282,9 @@ TEST(CbcMany, EncryptManyMatchesSequentialAcrossKernelsAndSizes) {
   for (std::size_t i = 0; i < std::size(sizes); ++i) {
     const Bytes key = rng.bytes(16);
     const bool hw = Aes128Ni::supported() && i % 3 != 2;
-    cbcs.emplace_back(hw ? std::shared_ptr<const BlockCipher>(
-                               std::make_shared<Aes128Ni>(key))
-                         : std::make_shared<Aes128>(key));
+    cbcs.emplace_back(hw ? std::unique_ptr<const BlockCipher>(
+                               std::make_unique<Aes128Ni>(key))
+                         : std::make_unique<Aes128>(key));
     plaintexts.push_back(rng.bytes(sizes[i]));
     ivs.push_back(rng.bytes(16));
   }
@@ -363,130 +362,84 @@ TEST(CbcInto, BadPaddingWipesOutputAndThrows) {
   EXPECT_GT(rejected, 32);
 }
 
+// --- Schedule wiping ----------------------------------------------------
+
+bool contains(BytesView haystack, BytesView needle) {
+  return std::search(haystack.begin(), haystack.end(), needle.begin(),
+                     needle.end()) != haystack.end();
+}
+
+Bytes host_bytes(const void* data, std::size_t size) {
+  const auto* begin = static_cast<const std::uint8_t*>(data);
+  return Bytes(begin, begin + size);
+}
+
+// AES round key 0 as the word-oriented kernels hold it: the key's four
+// big-endian words, each in host byte order.
+Bytes aes_word_round_key0(BytesView key) {
+  std::uint32_t words[4];
+  for (std::size_t i = 0; i < 4; ++i) {
+    words[i] = (std::uint32_t{key[4 * i]} << 24) |
+               (std::uint32_t{key[4 * i + 1]} << 16) |
+               (std::uint32_t{key[4 * i + 2]} << 8) | key[4 * i + 3];
+  }
+  return host_bytes(words, sizeof(words));
+}
+
+// DES subkey 1 as both DES kernels hold it.
+Bytes des_round_key0(BytesView key) {
+  const std::uint64_t subkey = des_key_schedule(key)[0];
+  return host_bytes(&subkey, sizeof(subkey));
+}
+
+// Builds a Kernel from `key` in a raw buffer, checks that the live object
+// holds every one of `round_keys` (so the check below can fail), runs the
+// destructor, and checks that the buffer then holds neither the key nor
+// any of them.
+template <typename Kernel>
+void expect_wiped_on_destruction(BytesView key,
+                                 const std::vector<Bytes>& round_keys) {
+  alignas(Kernel) std::uint8_t storage[sizeof(Kernel)];
+  const BytesView bytes(storage, sizeof(storage));
+  auto* kernel = new (storage) Kernel(key);
+  const std::string name = kernel->name();
+  for (const Bytes& round_key : round_keys) {
+    EXPECT_TRUE(contains(bytes, round_key))
+        << name << ": live object does not hold the round key";
+  }
+  kernel->~Kernel();
+  EXPECT_FALSE(contains(bytes, key)) << name << " left its key behind";
+  for (const Bytes& round_key : round_keys) {
+    EXPECT_FALSE(contains(bytes, round_key))
+        << name << " left a round key behind";
+  }
+}
+
+TEST(ScheduleWipe, EveryKernelWipesItsRoundKeys) {
+  SecureRandom rng(48);
+  const Bytes aes_key = rng.bytes(16);
+  const Bytes des_key = rng.bytes(8);
+  expect_wiped_on_destruction<Aes128>(aes_key, {aes_word_round_key0(aes_key)});
+  expect_wiped_on_destruction<ReferenceAes128>(
+      aes_key, {aes_word_round_key0(aes_key)});
+  expect_wiped_on_destruction<Des>(des_key, {des_round_key0(des_key)});
+  expect_wiped_on_destruction<ReferenceDes>(des_key,
+                                            {des_round_key0(des_key)});
+
+  // Des3 holds three Des, each of which wipes itself.
+  const Bytes des3_key = rng.bytes(24);
+  std::vector<Bytes> des3_round_keys;
+  for (std::size_t part = 0; part < 3; ++part) {
+    des3_round_keys.push_back(
+        des_round_key0(BytesView(des3_key).subspan(8 * part, 8)));
+  }
+  expect_wiped_on_destruction<Des3>(des3_key, des3_round_keys);
+
+  if (Aes128Ni::supported()) {
+    // The hardware schedule stores round key 0 as the raw key bytes.
+    expect_wiped_on_destruction<Aes128Ni>(aes_key, {aes_key});
+  }
+}
+
 }  // namespace
 }  // namespace keygraphs::crypto
-
-namespace keygraphs::rekey {
-namespace {
-
-using crypto::CipherAlgorithm;
-using crypto::SecureRandom;
-
-TEST(ScheduleCache, HitSharesOneSchedule) {
-  ScheduleCache cache(8);
-  SecureRandom rng(1);
-  const Bytes secret = rng.bytes(16);
-  const KeyRef ref{5, 2};
-  const auto a = cache.get(CipherAlgorithm::kAes128, ref, secret);
-  const auto b = cache.get(CipherAlgorithm::kAes128, ref, secret);
-  EXPECT_EQ(a.get(), b.get());  // literally the same expansion
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ScheduleCache, CountersTrackHitsMissesInserts) {
-  ScheduleCache cache(8, "test.sc_counters");
-  auto& registry = telemetry::Registry::global();
-  const auto hits = registry.counter("test.sc_counters.hits").value();
-  const auto misses = registry.counter("test.sc_counters.misses").value();
-  const auto inserts = registry.counter("test.sc_counters.inserts").value();
-  SecureRandom rng(2);
-  const Bytes secret = rng.bytes(16);
-  cache.warm(CipherAlgorithm::kAes128, {1, 1}, secret);   // insert
-  cache.warm(CipherAlgorithm::kAes128, {1, 1}, secret);   // already resident
-  cache.get(CipherAlgorithm::kAes128, {1, 1}, secret);    // hit
-  cache.get(CipherAlgorithm::kAes128, {2, 1}, secret);    // miss
-  EXPECT_EQ(registry.counter("test.sc_counters.hits").value(), hits + 1);
-  EXPECT_EQ(registry.counter("test.sc_counters.misses").value(), misses + 1);
-  EXPECT_EQ(registry.counter("test.sc_counters.inserts").value(),
-            inserts + 1);
-}
-
-TEST(ScheduleCache, LruEvictsOldestAtCapacity) {
-  ScheduleCache cache(2);
-  SecureRandom rng(3);
-  const Bytes secret = rng.bytes(16);
-  const auto first = cache.get(CipherAlgorithm::kAes128, {1, 1}, secret);
-  cache.get(CipherAlgorithm::kAes128, {2, 1}, secret);
-  cache.get(CipherAlgorithm::kAes128, {1, 1}, secret);  // refresh id 1
-  cache.get(CipherAlgorithm::kAes128, {3, 1}, secret);  // evicts id 2
-  EXPECT_EQ(cache.size(), 2u);
-  // Id 1 must still be resident (same expansion object), id 2 rebuilt.
-  EXPECT_EQ(cache.get(CipherAlgorithm::kAes128, {1, 1}, secret).get(),
-            first.get());
-}
-
-TEST(ScheduleCache, InvalidateOlderDropsOnlyStaleVersions) {
-  ScheduleCache cache(8);
-  SecureRandom rng(4);
-  const Bytes secret = rng.bytes(16);
-  cache.get(CipherAlgorithm::kAes128, {7, 1}, secret);
-  cache.get(CipherAlgorithm::kAes128, {7, 2}, secret);
-  const auto newest = cache.get(CipherAlgorithm::kAes128, {7, 3}, secret);
-  cache.invalidate_older({7, 3});
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.get(CipherAlgorithm::kAes128, {7, 3}, secret).get(),
-            newest.get());
-}
-
-TEST(ScheduleCache, InvalidateIdDropsAllVersions) {
-  ScheduleCache cache(8);
-  SecureRandom rng(5);
-  const Bytes secret = rng.bytes(16);
-  cache.get(CipherAlgorithm::kAes128, {9, 1}, secret);
-  cache.get(CipherAlgorithm::kAes128, {9, 2}, secret);
-  cache.get(CipherAlgorithm::kAes128, {10, 1}, secret);
-  cache.invalidate_id(9);
-  EXPECT_EQ(cache.size(), 1u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ScheduleCache, SecretMismatchNeverServesStaleSchedule) {
-  // Two groups can reuse an (id, version); the cache must key on the
-  // actual secret, not just the reference.
-  ScheduleCache cache(8);
-  SecureRandom rng(6);
-  const Bytes secret_a = rng.bytes(16);
-  const Bytes secret_b = rng.bytes(16);
-  const KeyRef ref{4, 4};
-  const auto a = cache.get(CipherAlgorithm::kAes128, ref, secret_a);
-  const auto b = cache.get(CipherAlgorithm::kAes128, ref, secret_b);
-  EXPECT_NE(a.get(), b.get());
-  Bytes pt(16, 0x5a), ct_a(16), ct_b(16);
-  a->encrypt_block(pt.data(), ct_a.data());
-  b->encrypt_block(pt.data(), ct_b.data());
-  EXPECT_NE(ct_a, ct_b);  // b really is keyed with secret_b
-}
-
-TEST(ScheduleCache, ConcurrentMixedUseIsSafe) {
-  // Hammered by the TSan CI job: concurrent get/warm/invalidate on a
-  // small cache so eviction, racing misses, and hits all interleave.
-  ScheduleCache cache(16);
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(4);
-  for (unsigned t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, &mismatches, t] {
-      SecureRandom rng(100 + t);
-      Bytes pt(16, 0x33), ct(16), back(16);
-      for (int i = 0; i < 500; ++i) {
-        const KeyId id = static_cast<KeyId>(rng.uniform(24));
-        const KeyRef ref{id, 1};
-        Bytes secret(16, static_cast<std::uint8_t>(id));
-        const auto cipher = cache.get(CipherAlgorithm::kAes128, ref, secret);
-        cipher->encrypt_block(pt.data(), ct.data());
-        cipher->decrypt_block(ct.data(), back.data());
-        if (back != pt) mismatches.fetch_add(1);
-        if (i % 17 == 0) cache.invalidate_id(id);
-        if (i % 29 == 0) {
-          cache.warm(CipherAlgorithm::kAes128, {id, 2}, secret);
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-}  // namespace
-}  // namespace keygraphs::rekey

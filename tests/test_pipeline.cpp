@@ -261,5 +261,46 @@ TEST(PipelineDeterminism, MaterializeMatchesExecutor) {
   EXPECT_EQ(sealed[0].to.user, eager[0].to.user);
 }
 
+// A restore() of an older snapshot re-issues (KeyId, version) pairs with
+// new secrets, so one executor can meet the same wrapping-key ref under two
+// secrets. Each plan must seal under its own secret: byte for byte what the
+// eager path builds from scratch for that plan.
+TEST(PipelineDeterminism, ReissuedKeyVersionSealsUnderItsOwnSecret) {
+  for (const crypto::CipherAlgorithm cipher :
+       {crypto::CipherAlgorithm::kDes, crypto::CipherAlgorithm::kAes128}) {
+    const std::size_t key_size = crypto::cipher_key_size(cipher);
+    crypto::SecureRandom rng(6);
+    rekey::RekeyExecutor executor(cipher, 1);
+    const rekey::RekeySealer sealer(rekey::SigningMode::kNone,
+                                    crypto::DigestAlgorithm::kNone, nullptr);
+    std::vector<Bytes> ciphertexts;
+    for (int generation = 0; generation < 2; ++generation) {
+      rekey::RekeyPlanner planner(cipher, rng);
+      const SymmetricKey wrapping{4, 4, rng.bytes(key_size)};
+      const std::vector<SymmetricKey> targets{{5, 1, rng.bytes(key_size)}};
+      rekey::PlannedRekey planned;
+      planned.to = rekey::Recipient::to_user(7);
+      planned.header.group = 1;
+      planned.header.epoch = 3;
+      planned.ops = {planner.wrap(wrapping, targets)};
+      const rekey::RekeyPlan plan = planner.take({planned});
+
+      crypto::SecureRandom eager_rng(99);  // unused: all IVs are in the plan
+      rekey::RekeyEncryptor encryptor(cipher, eager_rng);
+      const std::vector<rekey::OutboundRekey> eager =
+          rekey::materialize(plan, encryptor);
+      const std::vector<rekey::SealedRekey> sealed =
+          executor.seal(plan, sealer);
+      ASSERT_EQ(eager.size(), 1u);
+      ASSERT_EQ(sealed.size(), 1u);
+      EXPECT_EQ(sealed[0].wire,
+                sealer.envelope(eager[0].message.serialize_body(), nullptr))
+          << crypto::cipher_name(cipher) << " generation " << generation;
+      ciphertexts.push_back(eager[0].message.blobs.at(0).ciphertext);
+    }
+    EXPECT_NE(ciphertexts[0], ciphertexts[1]);
+  }
+}
+
 }  // namespace
 }  // namespace keygraphs
